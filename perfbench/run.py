@@ -6,7 +6,8 @@ Run from the root of a checkout; the program is imported from `src/`.  Each
 operation is one `expsumlab.cli.main` command in a fresh interpreter
 (perfbench/child.py), one child at a time, with no `--threads`.  A run repeats
 whole rounds of its workload's operations while the next round is expected to
-end within S seconds, and always runs at least one.  References for the checks
+end within S seconds, and always runs at least one; import-only starts fill
+the rest of the S seconds, for setup_s.  References for the checks
 are computed before the first round.  Every run leaves its raw samples in
 perfbench/out/run-<workload>-<seed>.json.
 
@@ -37,6 +38,7 @@ CHILD = os.path.join(HERE, "child.py")
 OUT_DIR = os.path.join(HERE, "out")
 OP_TIMEOUT_S = 120
 TAIL_PERCENTILE = 75  # nearest rank; README.md says where it is a tail
+TRACEBACK = "Traceback (most recent call last)"
 
 
 @dataclass
@@ -109,8 +111,13 @@ class Tally:
 
     def add(self, op: Op, s: Sample) -> None:
         self.samples.append(s)
-        if s.rc == 0:
-            problem = op.check(s.out, s.err)
+        if s.rc == 0 or (s.rc in op.answer_codes and s.out.strip() and TRACEBACK not in s.err):
+            try:
+                problem = op.check(s.out, s.err)
+            except Exception as exc:  # output in a shape the check cannot read
+                problem = f"check raised {type(exc).__name__}: {exc}"
+            if problem is None and s.rc != 0:
+                problem = f"exit {s.rc} although the output passes every check"
             if problem is None:
                 self.ok_ms.append(s.op_ms)
                 return
@@ -133,30 +140,32 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool) -> dict:
     if not os.path.isfile(os.path.join(root, "src", "expsumlab", "cli.py")):
         raise SystemExit("perfbench: no src/expsumlab here; run from the root of a checkout")
     os.makedirs(OUT_DIR, exist_ok=True)
-    workload = WORKLOADS[workload_name](seed)
+    ops = WORKLOADS[workload_name](seed)
     child = Child(root)
     # Unmeasured warm-up: the byte-code and page caches, and on sum-bigp the
     # first touch of 3 GB, which made a run's first transform 0-30% slower.
-    child.run(workload.ops[0].argv)
+    child.run(ops[0].argv)
     plain, traced = Tally(), Tally()
     setups: list[float] = []
     start = time.monotonic()
     while True:
         round_start = time.monotonic()
-        for op in workload.ops:
+        for op in ops:
             s = child.run(op.argv)
             plain.add(op, s)
             setups.append(s.setup_s)
             if trace:
                 traced.add(op, child.run(op.argv, trace=True))
-            for _ in range(workload.probes_per_op):
-                setups.append(child.run([]).setup_s)
         took = time.monotonic() - round_start
         if time.monotonic() - start + took > seconds:
             break
+    # The time left after the last whole round goes to import-only starts:
+    # more samples for setup_s, above all on sum-bigp with its four operations.
+    while time.monotonic() - start < seconds:
+        setups.append(child.run([]).setup_s)
 
     with open(os.path.join(OUT_DIR, f"run-{workload_name}-{seed}.json"), "w", encoding="utf-8") as fh:
-        json.dump({"ops": [op.argv for op in workload.ops], "setup_s": setups,
+        json.dump({"ops": [op.argv for op in ops], "setup_s": setups,
                    "op_ms": [s.op_ms for s in plain.samples],
                    "rss_mb": [s.rss_mb for s in plain.samples],
                    "rc": [s.rc for s in plain.samples]}, fh, indent=1)
@@ -171,13 +180,16 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool) -> dict:
         "attempted": attempted,
         "failed": failed,
     }
-    if not plain.ok_ms:
+    if not plain.ok_ms and not plain.wrong:
         raise SystemExit("perfbench: no operation succeeded; no metrics to report")
+    # When every answer was wrong, the times of all attempted operations stand
+    # in, so that the run still prints its result with correct: false.
+    ok_ms = plain.ok_ms or [s.op_ms for s in plain.samples]
     if not trace:
         metrics = {
             "cases_per_s": (len(plain.ok_ms) / (plain.total_ms / 1000.0), "1/s"),
-            "case_p50_ms": (statistics.median(plain.ok_ms), "ms"),
-            "case_tail_ms": (nearest_rank(plain.ok_ms, TAIL_PERCENTILE), "ms"),
+            "case_p50_ms": (statistics.median(ok_ms), "ms"),
+            "case_tail_ms": (nearest_rank(ok_ms, TAIL_PERCENTILE), "ms"),
             "peak_rss_mb": (max(s.rss_mb for s in plain.samples), "MB"),
             "setup_s": (statistics.median(v for v in setups if not math.isnan(v)), "s"),
         }
@@ -192,7 +204,7 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool) -> dict:
         metrics["trace.overhead_pct"] = (overhead, "%")
         dump = os.path.join(OUT_DIR, f"trace-{workload_name}-{seed}.json")
         with open(dump, "w", encoding="utf-8") as fh:
-            json.dump({"ops": [op.argv for op in workload.ops], "per_op": per_op,
+            json.dump({"ops": [op.argv for op in ops], "per_op": per_op,
                        "untraced_ms": [s.op_ms for s in plain.samples],
                        "traced_ms": [s.op_ms for s in traced.samples]}, fh, indent=1)
     result["metrics"] = {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}

@@ -1,6 +1,7 @@
 """The benchmark's workloads: seeded operations drawn from stated pools, and their checks.
 
-An operation is one CLI command.  When the command exits 0, its check
+An operation is one CLI command.  When the command exits 0, or exits with
+another of its answer codes and writes output without a traceback, its check
 receives the command's stdout and stderr and returns None when the output is
 right, or a description of what is wrong.  References are computed when a workload is
 built, before anything is timed.  See README.md for why each pool is what it
@@ -27,12 +28,9 @@ Check = Callable[[str, str], "str | None"]
 class Op:
     argv: list[str]
     check: Check
-
-
-@dataclass
-class Workload:
-    ops: list[Op]  # one round; every run repeats whole rounds
-    probes_per_op: int = 0  # extra import-only starts after each op, for setup_s
+    # exit codes that still come with an answer to check; `scan` and `trace`
+    # exit 1 with their whole output when every row errs or a check fails
+    answer_codes: tuple[int, ...] = (0,)
 
 
 def _tol(order: int) -> float:
@@ -107,14 +105,14 @@ def _scan_check(p: int, expected: dict[int, dict]) -> Check:
     return check
 
 
-def scan_energy(seed: int) -> Workload:
+def scan_energy(seed: int) -> list[Op]:
     windows = random.Random(seed).sample(scan_pool(), SCAN_OPS_PER_ROUND)
     ops = []
     for lo, p in windows:
         argv = ["scan", "--p-min", str(lo), "--p-max", str(p), "--alpha-lo", str(SCAN_ALPHA[0]),
                 "--m", "2,3", "--interval-power", "0.5"]
-        ops.append(Op(argv, _scan_check(p, _scan_expected(p))))
-    return Workload(ops)
+        ops.append(Op(argv, _scan_check(p, _scan_expected(p)), answer_codes=(0, 1)))
+    return ops
 
 
 # ---------------------------------------------------------------------- trace
@@ -160,15 +158,16 @@ def _trace_check(p: int, h: int, spec) -> Check:
     return check
 
 
-def trace(seed: int) -> Workload:
+def trace(seed: int) -> list[Op]:
     rng = random.Random(seed)
     complete, degenerate = TRACE_PICKS
     ops = []
     for p, h in rng.sample(TRACE_COMPLETE, complete) + rng.sample(TRACE_DEGENERATE, degenerate):
         spec = ref.indicator_spectrum(p, ref.subgroup_elements(p, h))
-        ops.append(Op(["trace", "--prime", str(p), "--order", str(h)], _trace_check(p, h, spec)))
+        argv = ["trace", "--prime", str(p), "--order", str(h)]
+        ops.append(Op(argv, _trace_check(p, h, spec), answer_codes=(0, 1)))
     rng.shuffle(ops)
-    return Workload(ops)
+    return ops
 
 
 # -------------------------------------------------------------------- sum-bigp
@@ -179,7 +178,6 @@ TRANSFORM_ORDER = 105  # p * H > 10^9: the Bluestein transform table
 # Refused every time (exit 3) because `sum --a` builds the dense table even
 # though one |S_a| is O(H); the same for every seed, so the failed share is fixed.
 REFUSED = ["sum", "--prime", "1000000007", "--order", "2", "--a", "123456789"]
-BIGP_PROBES_PER_OP = 6
 
 _MAX_LINE = re.compile(r"^max over a of \|S_a\| \(a\* = (\d+)\) = (\S+)$", re.M)
 _ONE_LINE = re.compile(r"^\|S_(\d+)\| = (\S+)$", re.M)
@@ -230,7 +228,7 @@ def _sum_one_check(p: int, h: int, a: int) -> Check:
     return check
 
 
-def sum_bigp(seed: int) -> Workload:
+def sum_bigp(seed: int) -> list[Op]:
     rng = random.Random(seed)
     taken: set[int] = set()
     p_direct = _bigp_prime(rng, DIRECT_ORDER, taken)
@@ -248,7 +246,8 @@ def sum_bigp(seed: int) -> Workload:
         Op(cmd(p_direct, DIRECT_ORDER), _sum_max_check(p_direct, DIRECT_ORDER)),
         Op(list(REFUSED), _sum_one_check(refused_p, refused_h, refused_a)),
     ]
-    return Workload(ops, probes_per_op=BIGP_PROBES_PER_OP)
+    return ops
 
 
+# Each builds one round of operations from a seed; every run repeats whole rounds.
 WORKLOADS = {"scan-energy": scan_energy, "trace": trace, "sum-bigp": sum_bigp}
