@@ -1,11 +1,11 @@
 """Verification and exploration laboratory for exponential sums over
 multiplicative subgroups of prime fields.
 
-Computes S_a over a subgroup (exactly coset-deduplicated or via an
-arbitrary-length DFT), interval-weighted double sums, exact additive
-energies and product-collision counts, every closed-form bound with exact
-rational exponents, and the dyadic pigeonhole cascade with its deterministic
-inequality chain.
+Computes S_a over a subgroup (one Gaussian period per multiplicative coset,
+read off a single discrete-log coset index), interval-weighted double sums,
+exact additive energies and product-collision counts evaluated once per
+coset, every closed-form bound with exact rational exponents, and the
+dyadic pigeonhole cascade with its deterministic inequality chain.
 """
 
 from . import bounds
@@ -23,10 +23,8 @@ from .expsum import (
     Interval,
     SumTable,
     all_sums,
-    dft,
     interval_subgroup_sum,
     max_sum,
-    phase_table,
     single_sum,
 )
 from .field import PrimeModulus, divisors, factorize, is_prime, mod_pow, primitive_root
@@ -43,7 +41,7 @@ from .prooftrace import (
     moment_inequality_check,
     trilinear_eval,
 )
-from .subgroup import Subgroup, coset_representatives, subgroup_of_order
+from .subgroup import CosetIndex, Subgroup, subgroup_of_order
 
 __version__ = "0.1.0"
 
@@ -61,10 +59,8 @@ __all__ = [
     "Interval",
     "SumTable",
     "all_sums",
-    "dft",
     "interval_subgroup_sum",
     "max_sum",
-    "phase_table",
     "single_sum",
     "PrimeModulus",
     "divisors",
@@ -83,7 +79,7 @@ __all__ = [
     "dyadic_stage",
     "moment_inequality_check",
     "trilinear_eval",
+    "CosetIndex",
     "Subgroup",
-    "coset_representatives",
     "subgroup_of_order",
 ]

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from . import bounds
 from .energy import energy_via_moments, j_count, representation_counts
 from .errors import InputError, ResourceError
-from .expsum import DEFAULT_DENSE_LIMIT, Interval, all_sums, interval_subgroup_sum, max_sum
+from .expsum import (
+    DEFAULT_DENSE_LIMIT,
+    Interval,
+    all_sums,
+    interval_subgroup_sum,
+    max_sum,
+    single_sum,
+)
 from .field import PrimeModulus, divisors, is_prime
 from .prooftrace import (
     DEFAULT_TRILINEAR_BUDGET,
@@ -59,7 +66,6 @@ class ScanConfig:
     fmt: str = "csv"
     output: str | None = None
     dense_limit: int = DEFAULT_DENSE_LIMIT
-    strategy: str = "auto"
 
     def __post_init__(self) -> None:
         if self.p_min > self.p_max:
@@ -119,7 +125,7 @@ def _scan_case(args: tuple[int, int, dict]) -> dict:
     try:
         pm = PrimeModulus.from_int(p)
         sub = subgroup_of_order(pm, h)
-        table = all_sums(sub, strategy=cfg["strategy"], dense_limit=cfg["dense_limit"])
+        table = all_sums(sub, dense_limit=cfg["dense_limit"])
         a_star, mx = max_sum(sub, table=table)
         row["a_star"] = a_star
         row["max_abs_sum"] = mx
@@ -180,7 +186,6 @@ def run_scan(config: ScanConfig) -> tuple[list[dict], list[FitResult]]:
     cases = _enumerate_cases(config)
     cfg = {
         "dense_limit": config.dense_limit,
-        "strategy": config.strategy,
         "interval_start": config.interval_start,
         "interval_length": config.interval_length,
         "interval_power": config.interval_power,
@@ -302,13 +307,12 @@ def _prepare_sub(args):
 def cmd_sum(args) -> int:
     _, sub = _prepare_sub(args)
     p, h = sub.p, sub.order
-    table = all_sums(sub, strategy=args.strategy, dense_limit=args.dense_limit)
     if args.a is not None:
         a = args.a % p
         label = f"|S_{a}|"
-        value = float(table.magnitudes[a])
+        value = abs(single_sum(a, sub))
     else:
-        a, value = max_sum(sub, table=table)
+        a, value = max_sum(sub, table=all_sums(sub, dense_limit=args.dense_limit))
         label = f"max over a of |S_a| (a* = {a})"
     t1 = bounds.thm1_bound(p, h)
     marker = "in-range" if bounds.thm1_in_range(p, h) else "out-of-range"
@@ -323,8 +327,8 @@ def cmd_energy(args) -> int:
     p, h = sub.p, sub.order
     if args.m not in (1, 2, 3):
         raise InputError(f"m must be 1, 2 or 3, got {args.m}")
+    table = all_sums(sub, dense_limit=args.dense_limit)
     prof = representation_counts(sub, args.m)
-    table = all_sums(sub, strategy=args.strategy, dense_limit=args.dense_limit)
     moment = energy_via_moments(table, args.m)
     agrees = round(moment) == prof.energy
     print(f"p = {p}  H = {h}  m = {args.m}")
@@ -355,7 +359,6 @@ def cmd_scan(args) -> int:
         fmt=args.format,
         output=args.output,
         dense_limit=args.dense_limit,
-        strategy=args.strategy,
     )
     rows, fits = run_scan(config)
     if not rows:
@@ -380,11 +383,16 @@ def cmd_scan(args) -> int:
 
 def cmd_trace(args) -> int:
     _, sub = _prepare_sub(args)
-    table = all_sums(sub, strategy=args.strategy, dense_limit=args.dense_limit)
+    table = all_sums(sub, dense_limit=args.dense_limit)
+    interval = r2 = r3 = j_prof = None
+    if args.interval_length is not None:
+        interval = Interval(start=args.interval_start or 0, length=args.interval_length)
+        j_prof = j_count(interval, sub)
+        r2, r3 = representation_counts(sub, 2), representation_counts(sub, 3)
     a = args.a
     try:
         trace = build_trace(
-            sub, a=a, table=table, trilinear_budget=args.trilinear_budget
+            sub, a=a, table=table, r2=r2, r3=r3, trilinear_budget=args.trilinear_budget
         )
     except EmptyTraceError as exc:
         if a is None:
@@ -401,11 +409,10 @@ def cmd_trace(args) -> int:
             reported={},
         )
     moment_checks = []
-    if args.interval_length is not None:
-        interval = Interval(start=args.interval_start or 0, length=args.interval_length)
-        for m in (2, 3):
+    if interval is not None:
+        for m, r_m in ((2, r2), (3, r3)):
             moment_checks.append(
-                moment_inequality_check(interval, sub, trace.a, m, table=table)
+                moment_inequality_check(interval, sub, trace.a, m, table, r_m, j_prof)
             )
     doc = trace_document(trace, moment_checks)
     _write_output(json.dumps(doc, indent=1) + "\n", args.output)
@@ -450,12 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_DENSE_LIMIT,
             help="largest p for which dense length-p tables are allowed",
         )
-        sp.add_argument(
-            "--strategy",
-            choices=("auto", "direct", "transform"),
-            default="auto",
-            help="table construction strategy (auto: direct while p*H is small)",
-        )
 
     p_sum = sub.add_parser("sum", help="single or maximal |S_a| plus the closed-form bound")
     add_common(p_sum)
@@ -480,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
     p_scan.add_argument("--output", type=str, default=None)
     p_scan.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
-    p_scan.add_argument("--strategy", choices=("auto", "direct", "transform"), default="auto")
     p_scan.set_defaults(func=cmd_scan)
 
     p_trace = sub.add_parser("trace", help="run the dyadic cascade and report every check")

@@ -1,9 +1,11 @@
 """Exact integer energies: additive representation counts of a subgroup and
 product-collision counts between an interval and a subgroup.
 
-Everything here is integer-exact; the convolutions run directly in int64
-(values are guaranteed to fit whenever the H^{2m} overflow guard passes,
-with a big-int fallback for the final squared sums).
+Every count here is constant on the multiplicative cosets of the subgroup,
+so it is evaluated once per coset of the coset index (plus once at 0) and
+spread to every residue.  Everything is integer-exact; the counts run in
+int64 (values are guaranteed to fit whenever the H^{2m} overflow guard
+passes, with a big-int fallback for the final squared sums).
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from .errors import InputError, ResourceError
 from .expsum import Interval, SumTable
 from .subgroup import Subgroup
 
-# Budget guards.  ENERGY_CAP mirrors a 128-bit accumulator; the work limit
-# bounds the p*H*m cost of the direct convolution passes.
+# Budget guards.  ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
-DEFAULT_CONVOLUTION_WORK = 4 * 10**9
 DEFAULT_TUPLE_BUDGET = 10**8
+# Lookups per block while summing over coset representatives.
+LOOKUP_BLOCK = 2**22
 
 
 @dataclass(eq=False)
@@ -52,29 +54,38 @@ def _exact_square_sum(counts: np.ndarray, int64_safe: bool) -> int:
     return sum(int(c) * int(c) for c in counts[counts > 0])
 
 
-def representation_counts(
-    sub: Subgroup, m: int, work_limit: int = DEFAULT_CONVOLUTION_WORK
-) -> EnergyProfile:
-    """m-fold additive representation counts via iterated cyclic convolution."""
+def _sums_at_cosets(sub: Subgroup, values: np.ndarray, sign: int) -> tuple[np.ndarray, int]:
+    """(c, z) with c[j] = sum over h of values[rep_j + sign*h] and z the same
+    sum at 0, for the coset representatives rep_j = g^j: M*H + H lookups."""
+    index = sub.coset_index()
+    p, elems = sub.p, sign * sub.elements
+    points = np.concatenate(([0], index.powers[: index.cosets]))
+    sums = np.empty(points.size, dtype=np.int64)
+    rows = max(1, LOOKUP_BLOCK // sub.order)
+    for i in range(0, points.size, rows):
+        pts = points[i : i + rows, None]
+        sums[i : i + rows] = values[(pts + elems[None, :]) % p].sum(axis=1)
+    return sums[1:], int(sums[0])
+
+
+def representation_counts(sub: Subgroup, m: int) -> EnergyProfile:
+    """m-fold additive representation counts r_m(lam) = sum over h of
+    r_(m-1)(lam - h), each fold evaluated once per coset."""
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
-    p, order = sub.p, sub.order
+    order = sub.order
     if order ** (2 * m) > ENERGY_CAP:
         raise ResourceError(f"energy H^(2m) = {order}^{2 * m} exceeds the accumulator budget")
-    if p * order * m > work_limit:
-        raise ResourceError(f"convolution work p*H*m = {p * order * m} exceeds {work_limit}")
-    if sub.indicator is None:
-        raise ResourceError("representation counts need the dense indicator")
-    cur = sub.indicator.astype(np.int64)
-    elems = [int(h) for h in sub.elements]
+    index = sub.coset_index()
+    # r_1 is the indicator: 1 on coset 0, the subgroup itself
+    per_coset, at_zero = (np.arange(index.cosets) == 0).astype(np.int64), 0
+    cur = index.spread(per_coset, at_zero)
     for _ in range(m - 1):
-        pad = np.concatenate([cur, cur])
-        nxt = np.zeros(p, dtype=np.int64)
-        for h in elems:
-            nxt += pad[p - h : 2 * p - h]  # view: cur[(lam - h) mod p]
-        cur = nxt
-    energy = _exact_square_sum(cur, order ** (2 * m) < 2**62)
-    return EnergyProfile(p, m, cur, energy)
+        per_coset, at_zero = _sums_at_cosets(sub, cur, -1)
+        cur = index.spread(per_coset, at_zero)
+    safe = order ** (2 * m) < 2**62
+    energy = at_zero * at_zero + order * _exact_square_sum(per_coset, safe)
+    return EnergyProfile(sub.p, m, cur, energy)
 
 
 def difference_counts(sub: Subgroup) -> np.ndarray:
@@ -82,45 +93,36 @@ def difference_counts(sub: Subgroup) -> np.ndarray:
 
     The squared sum of these counts equals the m = 2 additive energy.
     """
-    if sub.indicator is None:
-        raise ResourceError("difference counts need the dense indicator")
-    p = sub.p
-    ind = sub.indicator.astype(np.int64)
-    pad = np.concatenate([ind, ind])
-    out = np.zeros(p, dtype=np.int64)
-    for h in sub.elements:
-        out += pad[int(h) : int(h) + p]  # view: ind[(d + h) mod p]
-    return out
+    indicator = representation_counts(sub, 1).counts
+    per_coset, at_zero = _sums_at_cosets(sub, indicator, 1)
+    return sub.coset_index().spread(per_coset, at_zero)
 
 
 def energy_via_moments(table: SumTable, m: int) -> float:
-    """p^{-1} * sum over a of |S_a|^{2m}; rounds to the exact m-fold energy."""
+    """p^{-1} * sum over a of |S_a|^{2m} = p^{-1} (H^{2m} + H * sum over
+    cosets of |eta_j|^{2m}); rounds to the exact m-fold energy."""
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
-    powers = table.magnitudes.astype(np.float64) ** (2 * m)
-    if table.p <= 10**6:
+    powers = table.coset_magnitudes ** (2 * m)
+    if powers.size <= 10**6:
         total = math.fsum(powers)
     else:
         total = float(np.sum(powers))
-    return total / table.p
+    return (float(table.order ** (2 * m)) + table.order * total) / table.p
 
 
-def j_count(
-    interval: Interval, sub: Subgroup, work_limit: int = 10**9
-) -> IntervalProductProfile:
-    """Exact product-collision profile by enumerating all N*H products."""
+def j_count(interval: Interval, sub: Subgroup) -> IntervalProductProfile:
+    """Exact product-collision profile: n*h = lam has one solution h for each
+    nonzero n in the interval lying in the coset of lam, so the profile is
+    the per-coset count c_j of the interval, and J = H * sum c_j^2 + [0 in I] H^2."""
     p, order = sub.p, sub.order
     res = interval.residues(p)
-    n_len = res.shape[0]
-    if n_len * order > work_limit:
-        raise ResourceError(f"product enumeration N*H = {n_len * order} exceeds {work_limit}")
-    counts = np.zeros(p, dtype=np.int64)
-    chunk = max(1, 10**7 // max(order, 1))
-    for i in range(0, n_len, chunk):
-        prods = (res[i : i + chunk, None] * sub.elements[None, :]) % p
-        counts += np.bincount(prods.ravel(), minlength=p)
-    energy = _exact_square_sum(counts, (n_len * order) ** 2 < 2**62)
-    return IntervalProductProfile(p, counts, energy)
+    index = sub.coset_index()
+    nonzero = res[res != 0]
+    per_coset = np.bincount(index.labels[nonzero], minlength=index.cosets).astype(np.int64)
+    at_zero = order * (res.size - nonzero.size)
+    energy = at_zero * at_zero + order * _exact_square_sum(per_coset, res.size**2 < 2**62)
+    return IntervalProductProfile(p, index.spread(per_coset, at_zero), energy)
 
 
 def brute_force_T(sub: Subgroup, m: int, budget: int = DEFAULT_TUPLE_BUDGET) -> int:

@@ -1,11 +1,10 @@
 """Exponential sums over subgroups: single values, full tables, interval sums.
 
-The table builder offers two interchangeable strategies.  The direct one
-evaluates one compensated phase sum per multiplicative coset (the sum is
-constant on cosets, so one representative suffices) and is exact-order
-deterministic.  The transform one takes a full-length DFT of the subgroup
-indicator; since p is prime, the DFT is realized by a Bluestein chirp
-reduction to a power-of-two convolution.
+S_a is constant on the multiplicative cosets of the subgroup, so the full
+table is the list of Gaussian periods eta_j = sum over i of e(g^(j+iM)/p),
+one per coset, read off the coset index (g a primitive root, M = (p-1)/H)
+and spread to every residue.  The periods are plain float sums of H phases;
+every table lies within 1e-6 * H of a DFT of the subgroup indicator.
 """
 
 from __future__ import annotations
@@ -16,53 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .subgroup import Subgroup
+from .subgroup import DEFAULT_DENSE_LIMIT, Subgroup
 
-DEFAULT_DENSE_LIMIT = 10**7
-# Above this many phase evaluations the auto strategy switches to the transform.
-DIRECT_WORK_LIMIT = 10**9
-
-_phase_cache: dict[int, np.ndarray] = {}
-
-
-def phase_table(p: int) -> np.ndarray:
-    """exp(2*pi*i*k/p) for k = 0..p-1, cached per modulus (16 bytes/entry)."""
-    tab = _phase_cache.get(p)
-    if tab is None:
-        tab = np.exp((2j * np.pi / p) * np.arange(p))
-        while len(_phase_cache) >= 4:
-            _phase_cache.pop(next(iter(_phase_cache)))
-        _phase_cache[p] = tab
-    return tab
-
-
-def dft(x: np.ndarray) -> np.ndarray:
-    """DFT of arbitrary length n: sum_j x_j exp(-2*pi*i*jk/n).
-
-    Power-of-two lengths go straight to the FFT; any other length is reduced
-    to a power-of-two cyclic convolution with Bluestein's chirp, using the
-    identity jk = (j^2 + k^2 - (k-j)^2) / 2.  The quadratic phase indices are
-    reduced mod 2n in exact integers so the chirp stays accurate for large n.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    if n == 0:
-        raise InputError("empty transform")
-    if n & (n - 1) == 0:
-        return np.fft.fft(x)
-    k = np.arange(n, dtype=np.int64)
-    w = np.exp((-1j * np.pi / n) * ((k * k) % (2 * n)))
-    m = 1
-    while m < 2 * n - 1:
-        m *= 2
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = x * w
-    b = np.zeros(m, dtype=np.complex128)
-    wc = np.conj(w)
-    b[:n] = wc
-    b[m - n + 1 :] = wc[1:][::-1]
-    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))[:n]
-    return conv * w
+# Phase evaluations per block while summing the Gaussian periods.
+PERIOD_BLOCK = 2**20
 
 
 @dataclass(frozen=True)
@@ -76,15 +32,12 @@ class Interval:
     def contains_zero(self, p: int) -> bool:
         return (-(self.start + 1)) % p < self.length
 
-    def starts_at_origin(self, p: int) -> bool:
-        return self.start % p == 0
-
     def residues(self, p: int) -> np.ndarray:
         if not 1 <= self.length <= p:
             raise InputError(f"interval length must be in [1, p], got {self.length}")
         if self.avoids_zero and self.contains_zero(p):
             raise InputError("interval marked zero-free but contains 0 mod p")
-        return (self.start + 1 + np.arange(self.length, dtype=np.int64)) % p
+        return (self.start % p + 1 + np.arange(self.length, dtype=np.int64)) % p
 
 
 @dataclass(eq=False)
@@ -92,15 +45,17 @@ class SumTable:
     """|S_a| for every residue a, where S_a = sum over subgroup of e(a*x/p).
 
     magnitudes[0] is exactly the subgroup order; optionally the complex
-    values are kept as well.  Magnitudes are constant on multiplicative
-    cosets of the subgroup.
+    values are kept as well.  coset_magnitudes[j] = |eta_j| is the common
+    magnitude on coset j of the coset index; magnitudes spreads it to every
+    residue, so it is exactly constant on cosets.
     """
 
     p: int
     order: int
     magnitudes: np.ndarray
+    coset_magnitudes: np.ndarray
     values: np.ndarray | None = None
-    strategy: str = "direct"
+    strategy = "direct"  # one sum per coset; not a field
 
     def parseval_defect(self) -> float:
         """Relative gap between sum of squared magnitudes and p * order."""
@@ -130,49 +85,31 @@ def single_sum(a: int, sub: Subgroup) -> complex:
 
 def all_sums(
     sub: Subgroup,
-    strategy: str = "auto",
     dense_limit: int = DEFAULT_DENSE_LIMIT,
     store_values: bool = False,
 ) -> SumTable:
     """The full table of |S_a| for a = 0..p-1.
 
-    strategy: "direct" (per-coset compensated sums), "transform" (Bluestein
-    DFT of the indicator), or "auto" which picks direct while p*order stays
-    below DIRECT_WORK_LIMIT.
+    The Gaussian period eta_j = S_(g^j) is the sum of column j of e(g^k/p)
+    laid out as an H x M matrix, accumulated a block of rows at a time.
     """
     p, order = sub.p, sub.order
     if p > dense_limit:
         raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
-    if strategy == "auto":
-        strategy = "direct" if p * order <= DIRECT_WORK_LIMIT else "transform"
-    if strategy == "direct":
-        phases = phase_table(p)
-        mags = np.full(p, -1.0)
-        vals = np.empty(p, dtype=np.complex128) if store_values else None
-        mags[0] = float(order)
-        if vals is not None:
-            vals[0] = complex(order)
-        for r in range(1, p):
-            if mags[r] >= 0.0:
-                continue
-            coset = (r * sub.elements) % p
-            s = complex(np.sum(phases[coset]))
-            mags[coset] = abs(s)
-            if vals is not None:
-                vals[coset] = s
-        return SumTable(p, order, mags, vals, "direct")
-    if strategy == "transform":
-        if sub.indicator is None:
-            raise ResourceError("transform strategy needs the dense indicator")
-        spectrum = dft(sub.indicator.astype(np.complex128))
-        mags = np.abs(spectrum)
-        mags[0] = float(order)
-        vals = None
-        if store_values:
-            vals = np.conj(spectrum)
-            vals[0] = complex(order)
-        return SumTable(p, order, mags, vals, "transform")
-    raise InputError(f"unknown strategy {strategy!r}")
+    index = sub.coset_index(dense_limit)
+    m = index.cosets
+    eta = np.zeros(m, dtype=np.complex128)
+    rows = max(1, PERIOD_BLOCK // m)
+    for i in range(0, order, rows):
+        block = index.powers[i * m : (i + rows) * m]
+        eta += np.exp((2j * np.pi / p) * block).reshape(-1, m).sum(axis=0)
+    coset_mags = np.abs(eta)
+    if order % 2:
+        # -1 is outside H, so coset j + M/2 holds the conjugates of coset j:
+        # equal magnitudes make the smallest attaining residue well defined
+        coset_mags = np.maximum(coset_mags, np.roll(coset_mags, m // 2))
+    vals = index.spread(eta, complex(order)) if store_values else None
+    return SumTable(p, order, index.spread(coset_mags, float(order)), coset_mags, vals)
 
 
 def max_sum(sub: Subgroup, table: SumTable | None = None, **table_kwargs) -> tuple[int, float]:

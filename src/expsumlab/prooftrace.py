@@ -23,6 +23,8 @@ import numpy as np
 
 from .bounds import trilinear_bound
 from .energy import (
+    EnergyProfile,
+    IntervalProductProfile,
     difference_counts,
     j_count,
     representation_counts,
@@ -34,8 +36,6 @@ from .expsum import (
     all_sums,
     interval_subgroup_sum,
     max_sum,
-    phase_table,
-    dft,
 )
 from .subgroup import Subgroup
 
@@ -263,7 +263,7 @@ def trilinear_eval(
         raise ResourceError(
             f"trilinear evaluation needs {x.size * y.size * z.size} terms, budget {budget}"
         )
-    phases = phase_table(p)
+    phases = np.exp((2j * np.pi / p) * np.arange(p))
     a = int(a) % p
     chunk = max(1, 2**24 // max(y.size, 1))
     starts = range(0, x.size, chunk)
@@ -429,7 +429,7 @@ def build_trace(
     w = _product_counts(x, y, p)
     u = np.zeros(p, dtype=np.float64)
     u[(a * lam) % p] = w
-    v = np.abs(dft(u.astype(np.complex128)))
+    v = np.abs(np.fft.fft(u))
     scale3 = float(x.size) * float(y.size)
     v[0] = scale3
     rdiff = difference_counts(sub)
@@ -549,11 +549,15 @@ def moment_inequality_check(
     a: int,
     m: int,
     table: SumTable | None = None,
+    r_m: EnergyProfile | None = None,
+    j_prof: IntervalProductProfile | None = None,
 ) -> CheckResult:
     """S^{2m} <= (N^{2m-2}/H^2) * J * p * T_m with measured S, exact J, T_m.
 
     The right side combines a Hoelder step with Cauchy-Schwarz, so the
     inequality is a theorem; only the measured left side carries float error.
+    The table, the m-fold profile r_m and the collision profile j_prof are
+    computed on demand when absent.
     """
     if m < 2:
         raise InputError(f"moment check needs m >= 2, got {m}")
@@ -561,8 +565,11 @@ def moment_inequality_check(
     if table is None:
         table = all_sums(sub)
     s_val = interval_subgroup_sum(a, interval, sub, table=table)
-    t_m = representation_counts(sub, m).energy
-    j_prof = j_count(interval, sub)
+    if r_m is None:
+        r_m = representation_counts(sub, m)
+    if j_prof is None:
+        j_prof = j_count(interval, sub)
+    t_m = r_m.energy
     n_len = interval.length
     rhs_exact = n_len ** (2 * m - 2) * j_prof.energy * p * t_m
     lhs = s_val ** (2 * m)

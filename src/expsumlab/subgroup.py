@@ -1,17 +1,64 @@
-"""Multiplicative subgroups of the nonzero residues modulo a prime."""
+"""Multiplicative subgroups of the nonzero residues modulo a prime, and the
+discrete-log index of their cosets."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, ResourceError
 from .field import PrimeModulus, primitive_root
 
 # Above this the dense 0/1 indicator (one byte per residue) is not allocated
 # and membership falls back to the hash set.
 DENSE_INDICATOR_LIMIT = 10**8
+# Largest p for which length-p tables (coset index, sum table) are built.
+DEFAULT_DENSE_LIMIT = 10**7
+
+
+@dataclass(frozen=True, eq=False)
+class CosetIndex:
+    """Discrete logs to a primitive root g, reduced to the M = (p-1)/H cosets.
+
+    powers[k] = g^k for k = 0..p-2, so powers.reshape(H, M)[i, j] = g^(iM+j)
+    runs over coset j along column j; labels[x] = log_g(x) mod M for x != 0
+    (labels[0] = 0 is a placeholder: 0 lies in no coset).  powers[:M] holds
+    one representative per coset, and coset 0 is the subgroup itself.
+    """
+
+    p: int
+    order: int
+    root: int
+    powers: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def cosets(self) -> int:
+        return (self.p - 1) // self.order
+
+    def spread(self, per_coset: np.ndarray, at_zero) -> np.ndarray:
+        """The length-p array taking per_coset[j] on coset j and at_zero at 0."""
+        out = per_coset[self.labels]
+        out[0] = at_zero
+        return out
+
+
+def _power_table(g: int, n: int, p: int) -> np.ndarray:
+    """g^k mod p for k = 0..n-1: a first block by Python multiplication, then
+    each later block as the one before times g^block."""
+    block = math.isqrt(n) + 1
+    out = np.empty(n, dtype=np.int64)
+    x = 1
+    for k in range(min(block, n)):
+        out[k] = x
+        x = x * g % p
+    step = pow(g, block, p)
+    for s in range(block, n, block):
+        e = min(n, s + block)
+        out[s:e] = out[s - block : e - block] * step % p
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,7 +67,8 @@ class Subgroup:
 
     `elements` is the sorted list of residues; `indicator` is a dense 0/1
     array of length p (None for very large p).  Both views are immutable
-    after construction and safe to share across workers.
+    after construction and safe to share across workers; the coset index is
+    built on first use and kept.
     """
 
     p: int
@@ -29,6 +77,7 @@ class Subgroup:
     elements: np.ndarray
     indicator: np.ndarray | None
     members: frozenset[int] = field(repr=False, default_factory=frozenset)
+    _index: CosetIndex | None = field(default=None, init=False, repr=False)
 
     def __contains__(self, x: int) -> bool:
         return int(x) % self.p in self.members
@@ -36,6 +85,19 @@ class Subgroup:
     @property
     def is_full_group(self) -> bool:
         return self.order == self.p - 1
+
+    def coset_index(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> CosetIndex:
+        """The coset index, built on first use once p is within dense_limit."""
+        if self._index is None:
+            p = self.p
+            if p > dense_limit:
+                raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
+            root = primitive_root(p)
+            powers = _power_table(root, p - 1, p)
+            labels = np.zeros(p, dtype=np.int32 if p < 2**31 else np.int64)
+            labels[powers] = np.tile(np.arange((p - 1) // self.order, dtype=labels.dtype), self.order)
+            object.__setattr__(self, "_index", CosetIndex(p, self.order, root, powers, labels))
+        return self._index
 
 
 def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
@@ -57,23 +119,3 @@ def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
         indicator = np.zeros(p, dtype=np.uint8)
         indicator[elements] = 1
     return Subgroup(p, order, g, elements, indicator, frozenset(elems))
-
-
-def coset_representatives(sub: Subgroup) -> np.ndarray:
-    """One representative per multiplicative coset, ascending; (p-1)/order of them."""
-    p = sub.p
-    reps = []
-    if p <= DENSE_INDICATOR_LIMIT:
-        covered = np.zeros(p, dtype=bool)
-        covered[0] = True
-        for a in range(1, p):
-            if not covered[a]:
-                reps.append(a)
-                covered[(a * sub.elements) % p] = True
-    else:
-        covered: set[int] = set()
-        for a in range(1, p):
-            if a not in covered:
-                reps.append(a)
-                covered.update(int(v) for v in (a * sub.elements) % p)
-    return np.array(reps, dtype=np.int64)

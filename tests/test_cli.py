@@ -1,8 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
+
+from expsumlab import cli, prooftrace, subgroup_of_order
 from expsumlab.cli import (
     CSV_HEADER,
     EXIT_BAD_INPUT,
@@ -37,6 +41,16 @@ class TestSumCommand:
 
     def test_bad_order_rejected(self, capsys):
         assert run_cli("sum", "--prime", "13", "--order", "5") == EXIT_BAD_INPUT
+
+    def test_single_a_above_dense_limit(self, capsys):
+        # one |S_a| is O(H): no dense table, so p above the dense limit answers
+        p, a = 1000000007, 123456789
+        assert run_cli("sum", "--prime", str(p), "--order", "2", "--a", str(a)) == EXIT_OK
+        out = capsys.readouterr().out
+        value = float(out.split(f"|S_{a}| = ")[1].split()[0])
+        expected = abs(subgroup_sum(a, [1, p - 1], p))
+        assert abs(value - expected) <= 1e-9 * 2
+        assert abs(expected - 2 * abs(math.cos(2 * math.pi * a / p))) < 1e-9
 
 
 class TestEnergyCommand:
@@ -101,6 +115,31 @@ class TestTraceCommand:
         names = {c["name"] for c in doc["moment_checks"]}
         assert names == {"moment_inequality_m2", "moment_inequality_m3"}
         assert all(c["pass"] for c in doc["moment_checks"])
+
+    def test_interval_energies_computed_once(self, capsys, monkeypatch):
+        calls = {"representation_counts": 0, "j_count": 0}
+        for module in (cli, prooftrace):
+            for name in calls:
+                def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        argv = ["trace", "--prime", "101", "--order", "10", "--interval-start", "0",
+                "--interval-length", "10"]
+        assert run_cli(*argv) == EXIT_OK
+        assert calls == {"representation_counts": 2, "j_count": 1}
+        assert all(c["pass"] for c in json.loads(capsys.readouterr().out)["moment_checks"])
+
+    def test_huge_interval_start(self, capsys):
+        huge = 99999999999999999999
+        docs = []
+        for start in (huge, huge % 13):
+            argv = ["trace", "--prime", "13", "--order", "3", "--interval-start", str(start),
+                    "--interval-length", "2"]
+            assert run_cli(*argv) == EXIT_OK
+            docs.append(capsys.readouterr().out)
+        assert docs[0] == docs[1]
 
 
 class TestScanCommand:
@@ -190,12 +229,15 @@ class TestScanCommand:
             assert r["N"] == round(r["p"] ** 0.5)
 
     def test_transform_strategy_rows_close_to_direct(self):
-        direct, _ = run_scan(ScanConfig(p_min=100, p_max=140))
-        transform, _ = run_scan(ScanConfig(p_min=100, p_max=140, strategy="transform"))
-        assert len(direct) == len(transform)
-        for rd, rt in zip(direct, transform):
-            assert (rd["p"], rd["H"]) == (rt["p"], rt["H"])
-            assert abs(rd["max_abs_sum"] - rt["max_abs_sum"]) <= 1e-6 * rd["H"]
+        # every row's maximum against the transform of the subgroup indicator
+        rows, _ = run_scan(ScanConfig(p_min=100, p_max=140))
+        assert rows
+        for r in rows:
+            p, h = r["p"], r["H"]
+            ind = subgroup_of_order(p, h).indicator.astype(np.float64)
+            fft_mags = np.abs(np.fft.fft(ind))
+            assert abs(r["max_abs_sum"] - fft_mags[1:].max()) <= 1e-6 * h
+            assert abs(fft_mags[r["a_star"]] - r["max_abs_sum"]) <= 1e-6 * h
 
 
 class TestSubprocessInterface:

@@ -11,7 +11,6 @@ from expsumlab import (
     Interval,
     ResourceError,
     all_sums,
-    dft,
     divisors,
     interval_subgroup_sum,
     max_sum,
@@ -19,6 +18,11 @@ from expsumlab import (
     subgroup_of_order,
 )
 from oracles import naive_dft, subgroup_sum
+
+
+def fft_sums(sub):
+    """S_a for every a from numpy's FFT of the indicator: S_a = conj(fft)[a]."""
+    return np.conj(np.fft.fft(sub.indicator.astype(np.float64)))
 
 
 def mp_magnitude(a, elements, p):
@@ -50,28 +54,38 @@ class TestSingleSum:
 
 
 class TestDft:
+    # the cascade's stage 3 and the table oracle read np.fft.fft as
+    # sum_j x_j exp(-2*pi*i*jk/n) at every length, prime lengths included
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 13, 31, 64, 100, 101])
     def test_matches_naive_dft(self, n):
         rng = np.random.default_rng(12345 + n)
         x = rng.normal(size=n) + 1j * rng.normal(size=n)
         expected = np.array(naive_dft(list(x)))
-        assert np.max(np.abs(dft(x) - expected)) < 1e-9 * max(1.0, np.abs(expected).max())
+        assert np.max(np.abs(np.fft.fft(x) - expected)) < 1e-9 * max(1.0, np.abs(expected).max())
 
     def test_prime_length_indicator(self):
+        # the table is the prime-length DFT of the indicator, conjugated
         sub = subgroup_of_order(257, 16)
-        spectrum = dft(sub.indicator.astype(np.complex128))
+        table = all_sums(sub, store_values=True)
+        spectrum = np.fft.fft(sub.indicator.astype(np.complex128))
         for a in (0, 1, 100, 256):
-            assert abs(spectrum[a] - complex(subgroup_sum(-a, sub.elements, 257))) < 1e-9
+            expected = complex(subgroup_sum(-a, sub.elements, 257))
+            assert abs(spectrum[a] - expected) < 1e-9
+            assert abs(np.conj(table.values[a]) - expected) < 1e-9
 
 
 class TestAllSums:
-    @pytest.mark.parametrize("strategy", ["direct", "transform"])
-    def test_invariants(self, strategy):
+    @pytest.mark.parametrize("route", ["direct", "transform"])
+    def test_invariants(self, route):
+        # "direct": the per-coset table; "transform": the FFT reference
         sub = subgroup_of_order(1009, 48)
-        table = all_sums(sub, strategy=strategy)
-        assert table.magnitudes[0] == 48.0
-        assert np.all(table.magnitudes <= 48 + 1e-9)
-        assert table.parseval_defect() < 1e-6
+        table = all_sums(sub)
+        fft_mags = np.abs(fft_sums(sub))
+        mags = table.magnitudes if route == "direct" else fft_mags
+        assert mags[0] == 48.0
+        assert np.all(mags <= 48 + 1e-9)
+        assert abs(float(np.sum(mags**2)) - 1009 * 48) < 1e-6 * 1009 * 48
+        assert np.max(np.abs(table.magnitudes - fft_mags)) <= 1e-9 * 48
 
     def test_full_group_all_ones(self):
         table = all_sums(subgroup_of_order(101, 100))
@@ -92,10 +106,13 @@ class TestAllSums:
 
     @pytest.mark.parametrize("p,h", [(13, 3), (101, 10), (257, 16), (1009, 48), (12289, 4096)])
     def test_strategy_equivalence_every_a(self, p, h):
+        # the per-coset table against the transform of the indicator, every a
         sub = subgroup_of_order(p, h)
-        direct = all_sums(sub, strategy="direct")
-        transform = all_sums(sub, strategy="transform")
-        assert np.max(np.abs(direct.magnitudes - transform.magnitudes)) <= 1e-6 * h
+        table = all_sums(sub, store_values=True)
+        assert np.max(np.abs(table.values - fft_sums(sub))) <= 1e-6 * h
+        assert np.max(np.abs(table.magnitudes - np.abs(fft_sums(sub)))) <= 1e-6 * h
+        for a in (1, p // 2, p - 1):
+            assert abs(table.values[a] - subgroup_sum(a, sub.elements, p)) <= 1e-6 * h
 
     def test_table_matches_single_sum(self):
         sub = subgroup_of_order(1009, 48)
@@ -107,6 +124,12 @@ class TestAllSums:
     def test_dense_limit(self):
         with pytest.raises(ResourceError):
             all_sums(subgroup_of_order(1009, 48), dense_limit=100)
+
+    def test_dense_limit_holds_after_the_index_is_built(self):
+        sub = subgroup_of_order(1009, 48)
+        all_sums(sub)
+        with pytest.raises(ResourceError):
+            all_sums(sub, dense_limit=100)
 
     def test_gauss_identity_half_order(self):
         # H = (p-1)/2 is the quadratic-residue subgroup: |2 S_a + 1| = sqrt(p)
@@ -164,6 +187,13 @@ class TestInterval:
         assert Interval(0, 13).contains_zero(13)
         with pytest.raises(InputError):
             Interval(11, 3, avoids_zero=True).residues(13)
+
+    def test_huge_start_reduced_mod_p(self):
+        huge = 99999999999999999999
+        for p in (13, 101):
+            expected = list(Interval(huge % p, 5).residues(p))
+            assert list(Interval(huge, 5).residues(p)) == expected
+            assert list(Interval(-huge, 5).residues(p)) == list(Interval(-huge % p, 5).residues(p))
 
     def test_length_validation(self):
         with pytest.raises(InputError):

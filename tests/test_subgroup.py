@@ -1,9 +1,21 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from expsumlab import InputError, coset_representatives, divisors, subgroup_of_order
+from expsumlab import (
+    InputError,
+    Interval,
+    all_sums,
+    difference_counts,
+    divisors,
+    j_count,
+    representation_counts,
+    subgroup_of_order,
+)
+from oracles import quadruple_loop_j, subgroup_sum, tuple_count_T
 
 
 def test_subgroup_examples():
@@ -38,23 +50,32 @@ def test_subgroup_structure(p, h):
     assert all(pow(int(x), h, p) == 1 for x in sub.elements)
 
 
-def test_coset_representatives_examples():
-    assert list(coset_representatives(subgroup_of_order(13, 12))) == [1]
-    assert len(coset_representatives(subgroup_of_order(13, 3))) == 4
-    assert len(coset_representatives(subgroup_of_order(7, 1))) == 6
+def test_coset_index_examples():
+    assert subgroup_of_order(13, 12).coset_index().cosets == 1
+    index = subgroup_of_order(13, 3).coset_index()
+    assert index.cosets == 4 and index.root == 2
+    assert list(index.powers) == [pow(2, k, 13) for k in range(12)]
+    assert subgroup_of_order(7, 1).coset_index().cosets == 6
 
 
-@pytest.mark.parametrize("p,h", [(13, 3), (101, 10), (1009, 16)])
-def test_coset_representatives_partition(p, h):
+@pytest.mark.parametrize("p,h", [(3, 1), (3, 2), (13, 3), (101, 10), (1009, 16), (1009, 1008)])
+def test_coset_index_partition(p, h):
     sub = subgroup_of_order(p, h)
-    reps = coset_representatives(sub)
-    assert len(reps) == (p - 1) // h
+    index = sub.coset_index()
+    m = (p - 1) // h
+    assert index.cosets == m
+    assert sorted(int(v) for v in index.powers) == list(range(1, p))
+    # coset j is {g^(j + iM)}: it has H members, all labelled j, and is rep_j * H
     seen = set()
-    for r in reps:
-        coset = {int(v) for v in (int(r) * sub.elements) % p}
+    for j in range(m):
+        coset = {int(v) for v in index.powers[j::m]}
+        assert len(coset) == h
+        assert {int(index.labels[v]) for v in coset} == {j}
+        assert coset == {int(v) for v in (int(index.powers[j]) * sub.elements) % p}
         assert not coset & seen
         seen |= coset
     assert seen == set(range(1, p))
+    assert {int(v) for v in index.powers[::m]} == {int(v) for v in sub.elements}
 
 
 @given(st.sampled_from([13, 31, 61, 101, 181, 257]), st.data())
@@ -65,3 +86,41 @@ def test_subgroup_power_identity_property(p, data):
     y = data.draw(st.sampled_from([int(v) for v in sub.elements]))
     assert (x * y) % p in sub
     assert pow(x, h, p) == 1
+
+
+SMALL_PRIMES = [3, 5, 7, 13, 31, 61, 101, 181, 257]
+
+
+@st.composite
+def prime_order_interval(draw):
+    p = draw(st.sampled_from(SMALL_PRIMES))
+    h = draw(st.sampled_from(divisors(p - 1)))
+    start = draw(st.integers(0, p - 1))
+    return p, h, start, draw(st.integers(1, min(p, max(1, 40 // h))))
+
+
+@settings(max_examples=60)
+@given(prime_order_interval())
+@example((3, 1, 0, 3)).via("edge: p = 3, H = 1, the interval holds 0")
+@example((3, 2, 2, 1)).via("edge: p = 3, H = p - 1, the interval is {0}")
+@example((13, 1, 5, 13)).via("edge: H = 1")
+@example((13, 2, 11, 4)).via("edge: H = 2")
+@example((101, 100, 0, 1)).via("edge: H = p - 1")
+def test_coset_index_layers_against_oracles(case):
+    p, h, start, n_len = case
+    sub = subgroup_of_order(p, h)
+    elems = [int(v) for v in sub.elements]
+    table = all_sums(sub, store_values=True)
+    fft = np.conj(np.fft.fft(sub.indicator.astype(np.float64)))
+    assert np.max(np.abs(table.values - fft)) <= 1e-9 * h
+    for a in range(p):
+        assert abs(table.values[a] - subgroup_sum(a, elems, p)) <= 1e-9 * h
+        assert table.magnitudes[a] == table.magnitudes[-a % p]  # |S_-a| = |S_a| exactly
+    for m in (1, 2, 3):
+        if h**m <= 20000:
+            assert representation_counts(sub, m).energy == tuple_count_T(elems, p, m), m
+    pairs = Counter((h1 - h2) % p for h1 in elems for h2 in elems)
+    assert list(difference_counts(sub)) == [pairs[d] for d in range(p)]
+    iv = Interval(start, n_len)
+    expected = quadruple_loop_j([int(v) for v in iv.residues(p)], elems, p)
+    assert j_count(iv, sub).energy == expected
