@@ -3,49 +3,55 @@ product-collision counts between an interval and a subgroup.
 
 Every count here is constant on the multiplicative cosets of the subgroup,
 so it is evaluated once per coset of the coset index (plus once at 0) and
-spread to every residue.  Everything is integer-exact; the counts run in
-int64 (values are guaranteed to fit whenever the H^{2m} overflow guard
-passes, with a big-int fallback for the final squared sums).
+spread to every residue when first read.  Everything is integer-exact; the
+counts run in int64 (values are guaranteed to fit whenever the H^{2m}
+overflow guard passes, with a big-int fallback for the final squared sums).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, ResourceError
 from .expsum import Interval, SumTable
-from .subgroup import Subgroup
+from .subgroup import TABLE_BLOCK, CosetIndex, Subgroup
 
 # Budget guards.  ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
 DEFAULT_TUPLE_BUDGET = 10**8
-# Lookups per block while summing over coset representatives.
-LOOKUP_BLOCK = 2**22
 
 
 @dataclass(eq=False)
-class EnergyProfile:
+class _CosetProfile:
+    """counts is per_coset[j] on coset j and at_zero at 0, spread on first use."""
+
+    p: int
+    energy: int
+    per_coset: np.ndarray
+    at_zero: int
+    index: CosetIndex = field(repr=False)
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return self.index.spread(self.per_coset, self.at_zero)
+
+
+@dataclass(eq=False)
+class EnergyProfile(_CosetProfile):
     """counts[lam] = number of m-tuples of subgroup elements summing to lam;
     energy = sum of counts^2 = number of 2m-tuples with equal half sums."""
 
-    p: int
     m: int
-    counts: np.ndarray
-    energy: int
 
 
-@dataclass(eq=False)
-class IntervalProductProfile:
+class IntervalProductProfile(_CosetProfile):
     """counts[lam] = number of (n, h) in interval x subgroup with n*h = lam;
     energy = sum of counts^2 = number of solutions of n1*h1 = n2*h2."""
-
-    p: int
-    counts: np.ndarray
-    energy: int
 
 
 def _exact_square_sum(counts: np.ndarray, int64_safe: bool) -> int:
@@ -54,17 +60,24 @@ def _exact_square_sum(counts: np.ndarray, int64_safe: bool) -> int:
     return sum(int(c) * int(c) for c in counts[counts > 0])
 
 
-def _sums_at_cosets(sub: Subgroup, values: np.ndarray, sign: int) -> tuple[np.ndarray, int]:
-    """(c, z) with c[j] = sum over h of values[rep_j + sign*h] and z the same
-    sum at 0, for the coset representatives rep_j = g^j: M*H + H lookups."""
+def _sums_at_cosets(
+    sub: Subgroup, per_coset: np.ndarray, at_zero: int, sign: int
+) -> tuple[np.ndarray, int]:
+    """(c, z) with c[j] = sum over h of f(g^j + sign*h) and z that sum at 0,
+    for f = per_coset[j] on coset j and at_zero at 0: M*H + H label lookups,
+    a block at a time in buffers that every block reuses."""
     index = sub.coset_index()
-    p, elems = sub.p, sign * sub.elements
-    points = np.concatenate(([0], index.powers[: index.cosets]))
+    elems, values = sign * sub.elements, np.append(per_coset, at_zero)
+    points = np.concatenate(([0], index.reps))
     sums = np.empty(points.size, dtype=np.int64)
-    rows = max(1, LOOKUP_BLOCK // sub.order)
+    rows = max(1, TABLE_BLOCK // sub.order)
+    buf = np.empty((rows, sub.order), dtype=np.int64)
+    lab = np.empty(buf.shape, dtype=index.labels.dtype)
     for i in range(0, points.size, rows):
-        pts = points[i : i + rows, None]
-        sums[i : i + rows] = values[(pts + elems[None, :]) % p].sum(axis=1)
+        x = np.add(points[i : i + rows, None], elems, out=buf[: points.size - i])
+        np.remainder(x, sub.p, out=x)
+        np.take(values, np.take(index.labels, x, out=lab[: x.shape[0]]), out=x)
+        x.sum(axis=1, out=sums[i : i + rows])
     return sums[1:], int(sums[0])
 
 
@@ -79,13 +92,11 @@ def representation_counts(sub: Subgroup, m: int) -> EnergyProfile:
     index = sub.coset_index()
     # r_1 is the indicator: 1 on coset 0, the subgroup itself
     per_coset, at_zero = (np.arange(index.cosets) == 0).astype(np.int64), 0
-    cur = index.spread(per_coset, at_zero)
     for _ in range(m - 1):
-        per_coset, at_zero = _sums_at_cosets(sub, cur, -1)
-        cur = index.spread(per_coset, at_zero)
+        per_coset, at_zero = _sums_at_cosets(sub, per_coset, at_zero, -1)
     safe = order ** (2 * m) < 2**62
     energy = at_zero * at_zero + order * _exact_square_sum(per_coset, safe)
-    return EnergyProfile(sub.p, m, cur, energy)
+    return EnergyProfile(sub.p, energy, per_coset, at_zero, index, m)
 
 
 def difference_counts(sub: Subgroup) -> np.ndarray:
@@ -93,9 +104,9 @@ def difference_counts(sub: Subgroup) -> np.ndarray:
 
     The squared sum of these counts equals the m = 2 additive energy.
     """
-    indicator = representation_counts(sub, 1).counts
-    per_coset, at_zero = _sums_at_cosets(sub, indicator, 1)
-    return sub.coset_index().spread(per_coset, at_zero)
+    index = sub.coset_index()
+    per_coset, at_zero = _sums_at_cosets(sub, np.arange(index.cosets) == 0, 0, 1)
+    return index.spread(per_coset, at_zero)
 
 
 def energy_via_moments(table: SumTable, m: int) -> float:
@@ -122,7 +133,7 @@ def j_count(interval: Interval, sub: Subgroup) -> IntervalProductProfile:
     per_coset = np.bincount(index.labels[nonzero], minlength=index.cosets).astype(np.int64)
     at_zero = order * (res.size - nonzero.size)
     energy = at_zero * at_zero + order * _exact_square_sum(per_coset, res.size**2 < 2**62)
-    return IntervalProductProfile(p, index.spread(per_coset, at_zero), energy)
+    return IntervalProductProfile(p, energy, per_coset, at_zero, index)
 
 
 def brute_force_T(sub: Subgroup, m: int, budget: int = DEFAULT_TUPLE_BUDGET) -> int:

@@ -10,15 +10,13 @@ every table lies within 1e-6 * H of a DFT of the subgroup indicator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .subgroup import DEFAULT_DENSE_LIMIT, Subgroup
-
-# Phase evaluations per block while summing the Gaussian periods.
-PERIOD_BLOCK = 2**20
+from .subgroup import DEFAULT_DENSE_LIMIT, TABLE_BLOCK, CosetIndex, Subgroup
 
 
 @dataclass(frozen=True)
@@ -44,18 +42,22 @@ class Interval:
 class SumTable:
     """|S_a| for every residue a, where S_a = sum over subgroup of e(a*x/p).
 
-    magnitudes[0] is exactly the subgroup order; optionally the complex
-    values are kept as well.  coset_magnitudes[j] = |eta_j| is the common
-    magnitude on coset j of the coset index; magnitudes spreads it to every
-    residue, so it is exactly constant on cosets.
+    coset_magnitudes[j] = |eta_j| is the common magnitude on coset j of the
+    coset index; magnitudes spreads it to every residue on first use, so it
+    is exactly constant on cosets, and magnitudes[0] is exactly the subgroup
+    order.  Optionally the complex values are kept as well.
     """
 
     p: int
     order: int
-    magnitudes: np.ndarray
     coset_magnitudes: np.ndarray
+    index: CosetIndex = field(repr=False)
     values: np.ndarray | None = None
     strategy = "direct"  # one sum per coset; not a field
+
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        return self.index.spread(self.coset_magnitudes, float(self.order))
 
     def parseval_defect(self) -> float:
         """Relative gap between sum of squared magnitudes and p * order."""
@@ -65,22 +67,11 @@ class SumTable:
 
 
 def single_sum(a: int, sub: Subgroup) -> complex:
-    """S_a as a complex number, Neumaier-compensated in ascending element order."""
+    """S_a as a complex number; each part is an exactly rounded sum (math.fsum)."""
     p = sub.p
     a = int(a) % p
-    w = 2.0 * math.pi / p
-    sr = si = cr = ci = 0.0
-    for x in sub.elements:
-        k = (a * int(x)) % p
-        ang = w * k
-        vr, vi = math.cos(ang), math.sin(ang)
-        t = sr + vr
-        cr += (sr - t) + vr if abs(sr) >= abs(vr) else (vr - t) + sr
-        sr = t
-        t = si + vi
-        ci += (si - t) + vi if abs(si) >= abs(vi) else (vi - t) + si
-        si = t
-    return complex(sr + cr, si + ci)
+    angles = [2.0 * math.pi / p * ((a * int(x)) % p) for x in sub.elements]
+    return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
 def all_sums(
@@ -91,7 +82,7 @@ def all_sums(
     """The full table of |S_a| for a = 0..p-1.
 
     The Gaussian period eta_j = S_(g^j) is the sum of column j of e(g^k/p)
-    laid out as an H x M matrix, accumulated a block of rows at a time.
+    laid out as an H x M matrix, accumulated a block at a time.
     """
     p, order = sub.p, sub.order
     if p > dense_limit:
@@ -99,25 +90,27 @@ def all_sums(
     index = sub.coset_index(dense_limit)
     m = index.cosets
     eta = np.zeros(m, dtype=np.complex128)
-    rows = max(1, PERIOD_BLOCK // m)
-    for i in range(0, order, rows):
-        block = index.powers[i * m : (i + rows) * m]
-        eta += np.exp((2j * np.pi / p) * block).reshape(-1, m).sum(axis=0)
+    phases = np.empty(TABLE_BLOCK, dtype=np.complex128)  # reused by every block
+    for cols, block in index.blocks():
+        z = np.multiply(block, 2j * np.pi / p, out=phases[: block.size].reshape(block.shape))
+        eta[cols] += np.exp(z, out=z).sum(axis=0)
     coset_mags = np.abs(eta)
     if order % 2:
         # -1 is outside H, so coset j + M/2 holds the conjugates of coset j:
         # equal magnitudes make the smallest attaining residue well defined
         coset_mags = np.maximum(coset_mags, np.roll(coset_mags, m // 2))
     vals = index.spread(eta, complex(order)) if store_values else None
-    return SumTable(p, order, index.spread(coset_mags, float(order)), coset_mags, vals)
+    return SumTable(p, order, coset_mags, index, vals)
 
 
 def max_sum(sub: Subgroup, table: SumTable | None = None, **table_kwargs) -> tuple[int, float]:
-    """(a*, max over a != 0 of |S_a|); a* is the smallest attaining residue."""
+    """(a*, max over a != 0 of |S_a|); a* is the least member of the attaining cosets."""
     if table is None:
         table = all_sums(sub, **table_kwargs)
-    a_star = 1 + int(np.argmax(table.magnitudes[1:]))
-    return a_star, float(table.magnitudes[a_star])
+    best = table.coset_magnitudes.max()
+    reps = table.index.reps[np.flatnonzero(table.coset_magnitudes == best)]
+    a_star = int(((reps[:, None] * sub.elements[None, :]) % sub.p).min())
+    return a_star, float(best)
 
 
 def interval_subgroup_sum(
@@ -143,13 +136,8 @@ def interval_subgroup_sum(
     if method == "table":
         if table is None:
             table = all_sums(sub)
-        return float(np.sum(table.magnitudes[(a * res) % p]))
+        mags = table.index.spread(table.coset_magnitudes, float(table.order), (a * res) % p)
+        return float(np.sum(mags))
     if method == "direct":
-        total = comp = 0.0
-        for n in res:
-            v = abs(single_sum((a * int(n)) % p, sub))
-            t = total + v
-            comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
-            total = t
-        return total + comp
+        return math.fsum(abs(single_sum((a * int(n)) % p, sub)) for n in res)
     raise InputError(f"unknown method {method!r}")

@@ -328,7 +328,7 @@ def build_trace(
         raise InputError("a must be nonzero mod p")
     mag_a = float(table.magnitudes[a])
     delta = mag_a / H
-    if sub.is_full_group:
+    if H == p - 1:
         return _degenerate(sub, a, delta, "full group: every nonzero sum has magnitude 1")
     if mag_a <= 1.0:
         return _degenerate(sub, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
@@ -387,8 +387,10 @@ def build_trace(
 
     # Stage 2: triples (y1,y2,y3), value sum over x in X of |S_{a*x*mu}|.
     val2 = np.zeros(p, dtype=np.float64)
+    idx, mags = np.empty(p, dtype=np.int64), np.empty(p, dtype=np.float64)  # reused for every x
     for xi in x:
-        val2 += table.magnitudes[(((a * int(xi)) % p) * lam) % p]
+        np.remainder(np.multiply(lam, (a * int(xi)) % p, out=idx), p, out=idx)
+        val2 += np.take(table.magnitudes, idx, out=mags)
     total2 = float(np.sum(r3.counts * val2))
     checks.append(
         _check_ge(

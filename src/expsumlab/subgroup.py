@@ -3,61 +3,79 @@ discrete-log index of their cosets."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, ResourceError
 from .field import PrimeModulus, primitive_root
 
-# Above this the dense 0/1 indicator (one byte per residue) is not allocated
-# and membership falls back to the hash set.
+# Above this the dense 0/1 indicator (one byte per residue) is not allocated.
 DENSE_INDICATOR_LIMIT = 10**8
 # Largest p for which length-p tables (coset index, sum table) are built.
 DEFAULT_DENSE_LIMIT = 10**7
+# Power-table entries per block, written into buffers allocated once per call
+# and small enough to stay in cache: no block faults in fresh pages.
+TABLE_BLOCK = 2**14
 
 
 @dataclass(frozen=True, eq=False)
 class CosetIndex:
     """Discrete logs to a primitive root g, reduced to the M = (p-1)/H cosets.
 
-    powers[k] = g^k for k = 0..p-2, so powers.reshape(H, M)[i, j] = g^(iM+j)
-    runs over coset j along column j; labels[x] = log_g(x) mod M for x != 0
-    (labels[0] = 0 is a placeholder: 0 lies in no coset).  powers[:M] holds
-    one representative per coset, and coset 0 is the subgroup itself.
+    The power table g^(iM+j), laid out as an H x M matrix whose column j is
+    coset j, is never stored: reps[j] = g^j (coset 0 is the subgroup) and
+    steps[i] = g^(iM) give it a block at a time.  labels[x] = log_g(x) mod M,
+    and labels[0] = M as 0 lies in no coset; it is built on first use.
     """
 
     p: int
     order: int
     root: int
-    powers: np.ndarray
-    labels: np.ndarray
+    reps: np.ndarray
+    steps: np.ndarray
 
     @property
     def cosets(self) -> int:
         return (self.p - 1) // self.order
 
-    def spread(self, per_coset: np.ndarray, at_zero) -> np.ndarray:
-        """The length-p array taking per_coset[j] on coset j and at_zero at 0."""
-        out = per_coset[self.labels]
-        out[0] = at_zero
+    def blocks(self):
+        """(cols, block) pairs covering the power table: columns `cols` of
+        consecutive rows, at most TABLE_BLOCK entries, in one buffer that
+        the next block overwrites."""
+        width = min(self.cosets, TABLE_BLOCK)
+        height = max(1, TABLE_BLOCK // width)
+        buf = np.empty((height, width), dtype=np.int64)
+        for j in range(0, self.cosets, width):
+            reps = self.reps[j : j + width]
+            for i in range(0, self.order, height):
+                block = buf[: min(height, self.order - i), : reps.size]
+                np.multiply(self.steps[i : i + height, None], reps, out=block)
+                yield slice(j, j + width), np.remainder(block, self.p, out=block)
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        out = np.empty(self.p, dtype=np.int32 if self.p < 2**31 else np.int64)
+        out[0] = self.cosets
+        coset = np.arange(self.cosets, dtype=out.dtype)
+        for cols, block in self.blocks():
+            out[block] = coset[cols]
         return out
 
+    def spread(self, per_coset: np.ndarray, at_zero, residues: np.ndarray | None = None) -> np.ndarray:
+        """per_coset[j] on coset j and at_zero at 0, at every residue or at `residues`."""
+        labels = self.labels if residues is None else self.labels[residues]
+        return np.append(per_coset, at_zero)[labels]
 
-def _power_table(g: int, n: int, p: int) -> np.ndarray:
-    """g^k mod p for k = 0..n-1: a first block by Python multiplication, then
-    each later block as the one before times g^block."""
-    block = math.isqrt(n) + 1
-    out = np.empty(n, dtype=np.int64)
-    x = 1
-    for k in range(min(block, n)):
-        out[k] = x
-        x = x * g % p
-    step = pow(g, block, p)
-    for s in range(block, n, block):
-        e = min(n, s + block)
-        out[s:e] = out[s - block : e - block] * step % p
+
+def _geometric(g: int, n: int, p: int) -> np.ndarray:
+    """g^k mod p for k = 0..n-1, doubling the known prefix at each step."""
+    out = np.ones(n, dtype=np.int64)
+    size, step = 1, g % p
+    while size < n:
+        out[size : 2 * size] = out[: min(size, n - size)] * step % p
+        size, step = 2 * size, step * step % p
     return out
 
 
@@ -76,15 +94,11 @@ class Subgroup:
     generator: int
     elements: np.ndarray
     indicator: np.ndarray | None
-    members: frozenset[int] = field(repr=False, default_factory=frozenset)
     _index: CosetIndex | None = field(default=None, init=False, repr=False)
 
     def __contains__(self, x: int) -> bool:
-        return int(x) % self.p in self.members
-
-    @property
-    def is_full_group(self) -> bool:
-        return self.order == self.p - 1
+        x = int(x) % self.p
+        return x != 0 and pow(x, self.order, self.p) == 1
 
     def coset_index(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> CosetIndex:
         """The coset index, built on first use once p is within dense_limit."""
@@ -93,10 +107,10 @@ class Subgroup:
             if p > dense_limit:
                 raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
             root = primitive_root(p)
-            powers = _power_table(root, p - 1, p)
-            labels = np.zeros(p, dtype=np.int32 if p < 2**31 else np.int64)
-            labels[powers] = np.tile(np.arange((p - 1) // self.order, dtype=labels.dtype), self.order)
-            object.__setattr__(self, "_index", CosetIndex(p, self.order, root, powers, labels))
+            m = (p - 1) // self.order
+            reps = _geometric(root, m, p)
+            steps = _geometric(pow(root, m, p), self.order, p)
+            object.__setattr__(self, "_index", CosetIndex(p, self.order, root, reps, steps))
         return self._index
 
 
@@ -118,4 +132,4 @@ def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
     if p <= DENSE_INDICATOR_LIMIT:
         indicator = np.zeros(p, dtype=np.uint8)
         indicator[elements] = 1
-    return Subgroup(p, order, g, elements, indicator, frozenset(elems))
+    return Subgroup(p, order, g, elements, indicator)

@@ -12,9 +12,11 @@ from expsumlab import (
     difference_counts,
     divisors,
     j_count,
+    max_sum,
     representation_counts,
     subgroup_of_order,
 )
+from expsumlab import subgroup
 from oracles import quadruple_loop_j, subgroup_sum, tuple_count_T
 
 
@@ -54,8 +56,18 @@ def test_coset_index_examples():
     assert subgroup_of_order(13, 12).coset_index().cosets == 1
     index = subgroup_of_order(13, 3).coset_index()
     assert index.cosets == 4 and index.root == 2
-    assert list(index.powers) == [pow(2, k, 13) for k in range(12)]
+    assert list(index.reps) == [pow(2, j, 13) for j in range(4)]
+    assert list(index.steps) == [pow(2, 4 * i, 13) for i in range(3)]
     assert subgroup_of_order(7, 1).coset_index().cosets == 6
+
+
+def index_cosets(index) -> list[set[int]]:
+    """The members of each coset, read off the index's power-table blocks."""
+    cosets = [set() for _ in range(index.cosets)]
+    for cols, block in index.blocks():
+        for j, column in zip(range(index.cosets)[cols], block.T):
+            cosets[j] |= {int(v) for v in column}
+    return cosets
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (3, 2), (13, 3), (101, 10), (1009, 16), (1009, 1008)])
@@ -64,18 +76,41 @@ def test_coset_index_partition(p, h):
     index = sub.coset_index()
     m = (p - 1) // h
     assert index.cosets == m
-    assert sorted(int(v) for v in index.powers) == list(range(1, p))
+    g = index.root
+    assert [int(v) for v in index.reps] == [pow(g, j, p) for j in range(m)]
+    assert [int(v) for v in index.steps] == [pow(g, i * m, p) for i in range(h)]
     # coset j is {g^(j + iM)}: it has H members, all labelled j, and is rep_j * H
     seen = set()
-    for j in range(m):
-        coset = {int(v) for v in index.powers[j::m]}
+    for j, coset in enumerate(index_cosets(index)):
         assert len(coset) == h
         assert {int(index.labels[v]) for v in coset} == {j}
-        assert coset == {int(v) for v in (int(index.powers[j]) * sub.elements) % p}
+        assert coset == {int(v) for v in (int(index.reps[j]) * sub.elements) % p}
         assert not coset & seen
         seen |= coset
     assert seen == set(range(1, p))
-    assert {int(v) for v in index.powers[::m]} == {int(v) for v in sub.elements}
+    assert {int(v) for v in index.steps} == {int(v) for v in sub.elements}
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 64])
+@pytest.mark.parametrize("p,h", [(13, 3), (101, 5), (1009, 16), (1009, 1)])
+def test_coset_index_small_blocks(monkeypatch, block, p, h):
+    """Blocks smaller than a row split the columns as well as the rows; the
+    index and every layer that reads it come out the same."""
+    monkeypatch.setattr(subgroup, "TABLE_BLOCK", block)
+    sub = subgroup_of_order(p, h)
+    index = sub.coset_index()
+    for _, chunk in index.blocks():
+        assert chunk.size <= block
+    elems = [int(v) for v in sub.elements]
+    for j, coset in enumerate(index_cosets(index)):
+        assert coset == {int(v) for v in (int(index.reps[j]) * sub.elements) % p}
+        assert {int(index.labels[v]) for v in coset} == {j}
+    table = all_sums(sub, store_values=True)
+    fft = np.conj(np.fft.fft(sub.indicator.astype(np.float64)))
+    assert np.max(np.abs(table.values - fft)) <= 1e-9 * h
+    a_star = 1 + int(np.argmax(table.magnitudes[1:]))
+    assert max_sum(sub, table=table) == (a_star, table.magnitudes[a_star])
+    assert representation_counts(sub, 2).energy == tuple_count_T(elems, p, 2)
 
 
 @given(st.sampled_from([13, 31, 61, 101, 181, 257]), st.data())
