@@ -10,12 +10,14 @@ dyadic pigeonhole cascade with its deterministic inequality chain.
 
 from . import bounds
 from .energy import (
+    DifferenceProfile,
     EnergyProfile,
     IntervalProductProfile,
     brute_force_T,
     difference_counts,
     energy_via_moments,
     j_count,
+    moment_error_bound,
     representation_counts,
 )
 from .errors import InputError, ResourceError
@@ -47,12 +49,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "bounds",
+    "DifferenceProfile",
     "EnergyProfile",
     "IntervalProductProfile",
     "brute_force_T",
     "difference_counts",
     "energy_via_moments",
     "j_count",
+    "moment_error_bound",
     "representation_counts",
     "InputError",
     "ResourceError",

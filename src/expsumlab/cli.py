@@ -17,9 +17,10 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import bounds
-from .energy import energy_via_moments, j_count, representation_counts
+from .energy import energy_via_moments, j_count, moment_error_bound, representation_counts
 from .errors import InputError, ResourceError
 from .expsum import (
     DEFAULT_DENSE_LIMIT,
@@ -117,6 +118,14 @@ def _resolve_interval(config_dict: dict, p: int) -> Interval | None:
     return Interval(start=config_dict["interval_start"], length=length)
 
 
+def _moment_check(table, m: int, energy: int) -> tuple[float, float, bool]:
+    """The moment identity's value, its error bound, and whether the exact
+    energy lies within that bound of it (the difference taken exactly)."""
+    moment = energy_via_moments(table, m)
+    bound = moment_error_bound(table, m)
+    return moment, bound, abs(Fraction(moment) - energy) <= bound
+
+
 def _scan_case(args: tuple[int, int, dict]) -> dict:
     p, h, cfg = args
     row: dict = {key: None for key in CSV_FIELDS}
@@ -146,9 +155,12 @@ def _scan_case(args: tuple[int, int, dict]) -> dict:
         for m in cfg["moments"]:
             prof = representation_counts(sub, m)
             row[f"T{m}"] = prof.energy
-            moment = energy_via_moments(table, m)
-            if round(moment) != prof.energy:
-                row["error"] = f"moment identity mismatch for m={m}: {moment!r} vs {prof.energy}"
+            moment, bound, agrees = _moment_check(table, m, prof.energy)
+            if not agrees:
+                row["error"] = (
+                    f"moment identity mismatch for m={m}: {moment!r} vs {prof.energy}"
+                    f" (bound {bound:.3g})"
+                )
     except (InputError, ResourceError) as exc:
         row["error"] = str(exc)
     return row
@@ -329,11 +341,13 @@ def cmd_energy(args) -> int:
         raise InputError(f"m must be 1, 2 or 3, got {args.m}")
     table = all_sums(sub, dense_limit=args.dense_limit)
     prof = representation_counts(sub, args.m)
-    moment = energy_via_moments(table, args.m)
-    agrees = round(moment) == prof.energy
+    moment, bound, agrees = _moment_check(table, args.m, prof.energy)
     print(f"p = {p}  H = {h}  m = {args.m}")
     print(f"T_{args.m} = {prof.energy}")
-    print(f"moment identity p^-1 * sum |S_a|^(2m) = {moment!r}  rounds to T_{args.m}: {agrees}")
+    print(
+        f"moment identity p^-1 * sum |S_a|^(2m) = {moment!r}  "
+        f"within {bound:.3g} of T_{args.m}: {agrees}"
+    )
     if args.m in (2, 3):
         b = bounds.t2_energy_bound(h) if args.m == 2 else bounds.t3_energy_bound(h)
         label = "H^(49/20) log^(1/5) H" if args.m == 2 else "H^4 log H"

@@ -54,6 +54,11 @@ class IntervalProductProfile(_CosetProfile):
     energy = sum of counts^2 = number of solutions of n1*h1 = n2*h2."""
 
 
+class DifferenceProfile(_CosetProfile):
+    """counts[d] = number of ordered pairs (h1, h2) of subgroup elements with
+    h1 - h2 = d; energy = sum of counts^2 = the m = 2 additive energy T_2."""
+
+
 def _exact_square_sum(counts: np.ndarray, int64_safe: bool) -> int:
     if int64_safe:
         return int(np.dot(counts, counts))
@@ -99,19 +104,31 @@ def representation_counts(sub: Subgroup, m: int) -> EnergyProfile:
     return EnergyProfile(sub.p, energy, per_coset, at_zero, index, m)
 
 
-def difference_counts(sub: Subgroup) -> np.ndarray:
-    """counts[d] = number of ordered pairs (h1, h2) with h1 - h2 = d mod p.
-
-    The squared sum of these counts equals the m = 2 additive energy.
-    """
-    index = sub.coset_index()
+def difference_counts(sub: Subgroup) -> DifferenceProfile:
+    """Ordered pairs (h1, h2) by their difference h1 - h2, once per coset."""
+    order, index = sub.order, sub.coset_index()
     per_coset, at_zero = _sums_at_cosets(sub, np.arange(index.cosets) == 0, 0, 1)
-    return index.spread(per_coset, at_zero)
+    energy = at_zero * at_zero + order * _exact_square_sum(per_coset, order**4 < 2**62)
+    return DifferenceProfile(sub.p, energy, per_coset, at_zero, index)
 
 
 def energy_via_moments(table: SumTable, m: int) -> float:
     """p^{-1} * sum over a of |S_a|^{2m} = p^{-1} (H^{2m} + H * sum over
-    cosets of |eta_j|^{2m}); rounds to the exact m-fold energy."""
+    cosets of |eta_j|^{2m}): the exact m-fold energy T_m up to float error.
+
+    moment_error_bound(table, m) bounds that error, with u = 2^-53:
+    - each period is a sum of H phases, each within 22u of e(x/p) (three
+      roundings of an angle below 2*pi, 6*pi*u; cosine and sine within an
+      ulp each, 2*sqrt(2)*u), added in any order (componentwise at most
+      (H-1)u times H, so sqrt(2)*(H-1)*u*H), and its magnitude adds at most
+      2u*H: the table's c_j is within d = H*u*(24 + 1.5*H) of |eta_j|, so
+      c_j^{2m} is within 2m*d*(c_j + d)^{2m-1} of |eta_j|^{2m}, and its own
+      evaluation adds 2m*u*c_j^{2m};
+    - the sum of the M powers adds at most M*u times their sum, and
+      (H^{2m} + H * sum) / p four roundings of u times the result.
+    The bound is scaled by 1 + 1e-6, above the relative error of its own
+    float evaluation (below (M + 2m + 4)u).
+    """
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
     powers = table.coset_magnitudes ** (2 * m)
@@ -120,6 +137,15 @@ def energy_via_moments(table: SumTable, m: int) -> float:
     else:
         total = float(np.sum(powers))
     return (float(table.order ** (2 * m)) + table.order * total) / table.p
+
+
+def moment_error_bound(table: SumTable, m: int) -> float:
+    """Bound on |energy_via_moments(table, m) - T_m|, derived there."""
+    order, c, k = table.order, table.coset_magnitudes, 2 * m
+    u = 2.0**-53
+    d = order * u * (24 + 1.5 * order)
+    periods = k * d * float(np.sum((c + d) ** (k - 1))) + (k + c.size) * u * float(np.sum(c**k))
+    return (order * periods / table.p + 4 * u * energy_via_moments(table, m)) * (1 + 1e-6)
 
 
 def j_count(interval: Interval, sub: Subgroup) -> IntervalProductProfile:

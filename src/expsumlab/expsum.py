@@ -42,22 +42,27 @@ class Interval:
 class SumTable:
     """|S_a| for every residue a, where S_a = sum over subgroup of e(a*x/p).
 
-    coset_magnitudes[j] = |eta_j| is the common magnitude on coset j of the
-    coset index; magnitudes spreads it to every residue on first use, so it
-    is exactly constant on cosets, and magnitudes[0] is exactly the subgroup
-    order.  Optionally the complex values are kept as well.
+    eta[j] is the Gaussian period S_(g^j) of coset j of the coset index and
+    coset_magnitudes[j] = |eta_j| the common magnitude on that coset.
+    magnitudes and values spread them to every residue on first use, so the
+    magnitudes are exactly constant on cosets and magnitudes[0] is exactly
+    the subgroup order.
     """
 
     p: int
     order: int
     coset_magnitudes: np.ndarray
+    eta: np.ndarray
     index: CosetIndex = field(repr=False)
-    values: np.ndarray | None = None
     strategy = "direct"  # one sum per coset; not a field
 
     @cached_property
     def magnitudes(self) -> np.ndarray:
         return self.index.spread(self.coset_magnitudes, float(self.order))
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.index.spread(self.eta, complex(self.order))
 
     def parseval_defect(self) -> float:
         """Relative gap between sum of squared magnitudes and p * order."""
@@ -74,11 +79,7 @@ def single_sum(a: int, sub: Subgroup) -> complex:
     return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
-def all_sums(
-    sub: Subgroup,
-    dense_limit: int = DEFAULT_DENSE_LIMIT,
-    store_values: bool = False,
-) -> SumTable:
+def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     """The full table of |S_a| for a = 0..p-1.
 
     The Gaussian period eta_j = S_(g^j) is the sum of column j of e(g^k/p)
@@ -99,8 +100,7 @@ def all_sums(
         # -1 is outside H, so coset j + M/2 holds the conjugates of coset j:
         # equal magnitudes make the smallest attaining residue well defined
         coset_mags = np.maximum(coset_mags, np.roll(coset_mags, m // 2))
-    vals = index.spread(eta, complex(order)) if store_values else None
-    return SumTable(p, order, coset_mags, index, vals)
+    return SumTable(p, order, coset_mags, eta, index)
 
 
 def max_sum(sub: Subgroup, table: SumTable | None = None, **table_kwargs) -> tuple[int, float]:

@@ -9,9 +9,17 @@ discard mass, pigeonhole, Cauchy-Schwarz cardinality via exact energies,
 power-mean/Hoelder, and the final trilinear lower bound).  Steps that only
 hold up to implied constants are reported as ratios, never asserted.
 
-Key engineering point: the inner magnitude of a triple (x1, x2, x3) depends
-only on lam = x1+x2+x3 mod p, so every stage runs over residues weighted by
-exact representation counts instead of over H^3 raw tuples.
+Key engineering point: every value of the cascade is constant on the
+multiplicative cosets of the subgroup.  The inner magnitude of a triple
+(x1, x2, x3) depends only on the coset of lam = x1+x2+x3 mod p; the stage-2
+sums over X are a cyclic correlation of the coset magnitudes with X; the
+X x Y product counts depend only on the coset of the product; and the stage-3
+spectrum is a correlation of those counts with the Gaussian periods.  So
+every stage runs on arrays of length M + 1 (M = (p-1)/H): entry 0 is the
+residue 0 and entry 1 + k is coset k of the coset index, weighted by exact
+representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
+of cosets; they are expanded to residues only for the result and for the
+literal trilinear check.
 """
 
 from __future__ import annotations
@@ -156,6 +164,10 @@ def dyadic_stage(
     (scale*2^{-i-1}, scale*2^{-i}], and pick the i0 maximizing the bucket's
     upper-bound mass scale*2^{-i0} * multiplicity.
 
+    Entry i of mags and mults stands for residue i, or, in the coset layout
+    of build_trace, entry 0 for the residue 0 and entry 1 + k for coset k
+    with its total multiplicity; lambdas are these entry indices.
+
     Ties go to the smallest index whose bucket contains a nonzero residue
     (a bucket holding only residue 0 cannot seed the next stage; exact score
     ties do occur, e.g. at H = 3 where the zero-diagonal bucket ties the
@@ -231,13 +243,22 @@ def check_energy_cardinality(
     )
 
 
-def _product_counts(x: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """counts[lam] = #{(a, b) in X x Y : a*b = lam mod p}."""
-    counts = np.zeros(p, dtype=np.int64)
-    chunk = max(1, 10**7 // max(y.shape[0], 1))
-    for i in range(0, x.shape[0], chunk):
-        prods = (x[i : i + chunk, None] * y[None, :]) % p
-        counts += np.bincount(prods.ravel(), minlength=p)
+def _slots(at_zero, per_coset: np.ndarray) -> np.ndarray:
+    """The stage layout: entry 0 is the residue 0, entry 1 + k is coset k."""
+    return np.concatenate(([at_zero], per_coset))
+
+
+def _correlate(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum over j of f[j] * g[(j + k) mod M] for every k, by FFT; f is real."""
+    return np.fft.ifft(np.conj(np.fft.fft(f)) * np.fft.fft(g))
+
+
+def _pair_sums(xc: np.ndarray, yc: np.ndarray, m: int) -> np.ndarray:
+    """counts[c] = #{(i, j) in xc x yc : i + j = c mod m}, exact."""
+    counts = np.zeros(m, dtype=np.int64)
+    rows = max(1, 2**20 // yc.size)
+    for i in range(0, xc.size, rows):
+        counts += np.bincount(((xc[i : i + rows, None] + yc) % m).ravel(), minlength=m)
     return counts
 
 
@@ -265,22 +286,25 @@ def trilinear_eval(
         )
     phases = np.exp((2j * np.pi / p) * np.arange(p))
     a = int(a) % p
-    chunk = max(1, 2**24 // max(y.size, 1))
-    starts = range(0, x.size, chunk)
-    precompute = x.size * y.size <= 2**24
-    if precompute:
-        blocks = [((x[i : i + chunk, None] * y[None, :]) % p).ravel() for i in starts]
+    rows = max(1, 2**16 // y.size)
+    starts = range(0, x.size, rows)
+
+    def products(i: int) -> np.ndarray:
+        return (x[i : i + rows, None] * y % p).ravel()
+
+    blocks = [products(i) for i in starts] if x.size * y.size <= 2**24 else None
+    # index, quotient and phase buffers shared by every z and block: no per-z temporaries
+    idx, quot = np.empty((2, min(rows, x.size) * y.size), dtype=np.int64)
+    terms = np.empty(idx.size, dtype=np.complex128)
     total = comp = 0.0
     for zv in z:
         c = (a * int(zv)) % p
         s = 0j
-        if precompute:
-            for blk in blocks:
-                s += complex(np.sum(phases[(c * blk) % p]))
-        else:
-            for i in starts:
-                blk = ((x[i : i + chunk, None] * y[None, :]) % p).ravel()
-                s += complex(np.sum(phases[(c * blk) % p]))
+        for blk in blocks if blocks is not None else map(products, starts):
+            i, q = np.multiply(blk, c, out=idx[: blk.size]), quot[: blk.size]
+            # c*xy mod p: numpy divides by a scalar faster than it takes a remainder
+            i -= np.multiply(np.floor_divide(i, p, out=q), p, out=q)
+            s += complex(np.take(phases, i, out=terms[: blk.size], mode="clip").sum())
         v = abs(s)
         t = total + v
         comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
@@ -326,28 +350,31 @@ def build_trace(
     a = int(a) % p
     if a == 0:
         raise InputError("a must be nonzero mod p")
-    mag_a = float(table.magnitudes[a])
+    index = table.index
+    shift = int(index.labels[a])  # a lies in coset `shift`
+    mag_a = float(table.coset_magnitudes[shift])
     delta = mag_a / H
     if H == p - 1:
         return _degenerate(sub, a, delta, "full group: every nonzero sum has magnitude 1")
     if mag_a <= 1.0:
         return _degenerate(sub, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
-    if r2 is None:
-        r2 = representation_counts(sub, 2)
     if r3 is None:
         r3 = representation_counts(sub, 3)
-    t2, t3 = r2.energy, r3.energy
+    t3 = r3.energy
 
+    # Every stage works on _slots arrays; multiplicities are H times the
+    # per-coset counts.  On coset k, |S_{a*lam}| is the magnitude of coset shift + k.
     checks: list[CheckResult] = []
-    lam = np.arange(p, dtype=np.int64)
-    mags_at = table.magnitudes[(a * lam) % p]  # |S_{a*lam}| indexed by lam
+    mags = np.roll(table.coset_magnitudes, -shift)
+    mags_at = _slots(float(H), mags)
+    mults3 = _slots(r3.at_zero, H * r3.per_coset)
 
     # Stage 1: triples (x1,x2,x3), inner magnitude |S_{a*(x1+x2+x3)}|.
-    total1 = float(np.sum(r3.counts * mags_at))
+    total1 = float(np.sum(mults3 * mags_at))
     checks.append(
         _check_ge("stage1_triangle_mass", total1, H * mag_a**3, note="mass >= H^4 * Delta^3")
     )
-    st1 = dyadic_stage(mags_at, r3.counts, float(H), 0.5 * H * delta**3)
+    st1 = dyadic_stage(mags_at, mults3, float(H), 0.5 * H * delta**3)
     checks.append(
         _check_ge(
             "stage1_discard_mass",
@@ -366,32 +393,32 @@ def build_trace(
     checks.append(
         _check_le("stage1_bucket_count", st1.nonempty_buckets, st1.bucket_cap, exact=True)
     )
-    x = st1.lambdas[st1.lambdas != 0]
-    if x.size == 0:
+    xc = st1.lambdas[st1.lambdas != 0] - 1  # the cosets that make up X
+    if xc.size == 0:
         raise EmptyTraceError("stage-1 bucket holds only the zero residue")
+    nx = H * xc.size
     g1 = st1.weight
-    checks.append(check_energy_cardinality(x.size, g1, st1.delta, delta, t3, "triple-sum"))
+    checks.append(check_energy_cardinality(nx, g1, st1.delta, delta, t3, "triple-sum"))
 
-    sx = mags_at[x]
-    sum_sx = float(np.sum(sx))
-    sum_sx3 = float(np.sum(sx**3))
-    delta1_meas = sum_sx / (H * x.size)
+    sx = mags[xc]
+    sum_sx = H * float(np.sum(sx))
+    sum_sx3 = H * float(np.sum(sx**3))
+    delta1_meas = sum_sx / (H * nx)
     checks.append(
         _check_ge(
             "hoelder_cubes_over_x",
             sum_sx3,
-            sum_sx**3 / x.size**2,
+            sum_sx**3 / nx**2,
             note="power mean: sum |S|^3 >= (sum |S|)^3 / |X|^2",
         )
     )
 
-    # Stage 2: triples (y1,y2,y3), value sum over x in X of |S_{a*x*mu}|.
-    val2 = np.zeros(p, dtype=np.float64)
-    idx, mags = np.empty(p, dtype=np.int64), np.empty(p, dtype=np.float64)  # reused for every x
-    for xi in x:
-        np.remainder(np.multiply(lam, (a * int(xi)) % p, out=idx), p, out=idx)
-        val2 += np.take(table.magnitudes, idx, out=mags)
-    total2 = float(np.sum(r3.counts * val2))
+    # Stage 2: triples (y1,y2,y3), value sum over x in X of |S_{a*x*mu}|;
+    # on coset k it is H * sum over the X-cosets j of mags[j + k].
+    in_x = np.zeros(index.cosets)
+    in_x[xc] = 1.0
+    val2 = _slots(float(H * nx), H * _correlate(in_x, mags).real)
+    total2 = float(np.sum(mults3 * val2))
     checks.append(
         _check_ge(
             "stage2_triangle_mass",
@@ -400,42 +427,42 @@ def build_trace(
             note="mass >= H * sum over X of |S_{ax}|^3",
         )
     )
-    st2 = dyadic_stage(val2 / x.size, r3.counts, float(H), 0.5 * H * delta1_meas**3)
+    st2 = dyadic_stage(val2 / nx, mults3, float(H), 0.5 * H * delta1_meas**3)
     checks.append(
         _check_ge(
             "stage2_discard_mass",
-            st2.retained_mass * x.size,
-            0.5 * H**4 * x.size * delta1_meas**3,
+            st2.retained_mass * nx,
+            0.5 * H**4 * nx * delta1_meas**3,
         )
     )
     checks.append(
         _check_ge(
             "stage2_pigeonhole",
-            H * 2.0 ** (-st2.i0) * st2.weight * x.size,
-            st2.retained_mass * x.size / st2.nonempty_buckets,
+            H * 2.0 ** (-st2.i0) * st2.weight * nx,
+            st2.retained_mass * nx / st2.nonempty_buckets,
         )
     )
     checks.append(
         _check_le("stage2_bucket_count", st2.nonempty_buckets, st2.bucket_cap, exact=True)
     )
-    y = st2.lambdas[st2.lambdas != 0]
-    if y.size == 0:
+    yc = st2.lambdas[st2.lambdas != 0] - 1
+    if yc.size == 0:
         raise EmptyTraceError("stage-2 bucket holds only the zero residue")
+    ny = H * yc.size
     g2 = st2.weight
-    checks.append(check_energy_cardinality(y.size, g2, st2.delta, st1.delta, t3, "triple-sum"))
-    delta2_meas = float(np.sum(val2[y])) / (H * x.size * y.size)
+    checks.append(check_energy_cardinality(ny, g2, st2.delta, st1.delta, t3, "triple-sum"))
+    delta2_meas = float(np.sum(val2[1 + yc])) / (nx * ny)  # H * that sum over H * |X||Y|
 
     # Stage 3: pairs (z1,z2), value |sum over X x Y of e(a*x*y*(z1-z2))|,
-    # which depends only on d = z1-z2; computed spectrally from the product
-    # counts of X x Y.
-    w = _product_counts(x, y, p)
-    u = np.zeros(p, dtype=np.float64)
-    u[(a * lam) % p] = w
-    v = np.abs(np.fft.fft(u))
-    scale3 = float(x.size) * float(y.size)
-    v[0] = scale3
+    # which depends only on the coset k of d = z1-z2.  Coset pairs (i, j)
+    # of X x Y put H products on each residue of coset i + j, so the value is
+    # |sum over c of w_c * eta_{c + shift + k}| with exact counts w_c.
+    w = H * _pair_sums(xc, yc, index.cosets)
+    scale3 = float(nx) * float(ny)
+    v = _slots(scale3, np.abs(_correlate(w, np.roll(table.eta, -shift))))
     rdiff = difference_counts(sub)
-    total3 = float(np.sum(rdiff * v))
+    mults2 = _slots(rdiff.at_zero, H * rdiff.per_coset)
+    total3 = float(np.sum(mults2 * v))
     checks.append(
         _check_ge(
             "stage3_cauchy_schwarz_mass",
@@ -444,7 +471,7 @@ def build_trace(
             note="mass >= H^2 |X||Y| delta2_meas^2",
         )
     )
-    st3 = dyadic_stage(v, rdiff, scale3, 0.5 * scale3 * delta2_meas**2)
+    st3 = dyadic_stage(v, mults2, scale3, 0.5 * scale3 * delta2_meas**2)
     checks.append(
         _check_ge(
             "stage3_discard_mass",
@@ -462,24 +489,28 @@ def build_trace(
     checks.append(
         _check_le("stage3_bucket_count", st3.nonempty_buckets, st3.bucket_cap, exact=True)
     )
-    z = st3.lambdas[st3.lambdas != 0]
-    if z.size == 0:
+    zc = st3.lambdas[st3.lambdas != 0] - 1
+    if zc.size == 0:
         raise EmptyTraceError("stage-3 bucket holds only the zero residue")
+    nz = H * zc.size
     g3 = st3.weight
-    checks.append(check_energy_cardinality(z.size, g3, st3.delta, st2.delta, t2, "difference"))
+    if r2 is None:  # read only here, so a trace that ends empty never builds it
+        r2 = representation_counts(sub, 2)
+    checks.append(check_energy_cardinality(nz, g3, st3.delta, st2.delta, r2.energy, "difference"))
 
-    ts_spectral = float(np.sum(v[z]))
-    delta3_meas = ts_spectral / (scale3 * z.size)
+    ts_spectral = H * float(np.sum(v[1 + zc]))
+    delta3_meas = ts_spectral / (scale3 * nz)
     checks.append(
         _check_ge(
             "final_trilinear_sum",
             ts_spectral,
-            scale3 * z.size * st3.delta,
+            scale3 * nz * st3.delta,
             note="every member of the stage-3 bucket exceeds |X||Y| * delta3",
         )
     )
+    x, y, z = index.members(xc), index.members(yc), index.members(zc)
     tri_direct = None
-    if x.size * y.size * z.size <= trilinear_budget:
+    if nx * ny * nz <= trilinear_budget:
         tri_direct = trilinear_eval(x, y, z, a, p, budget=trilinear_budget)
         checks.append(
             _check_close(
@@ -489,7 +520,18 @@ def build_trace(
                 note="direct per-z evaluation vs spectral stage-3 values",
             )
         )
-    tri_bound = trilinear_bound(x.size, y.size, z.size, p)
+    elif nx * ny * zc.size <= trilinear_budget:
+        # X is a union of cosets, so the inner X x Y sum is the same at every z of a coset
+        tri_coset = H * trilinear_eval(x, y, index.reps[zc], a, p, budget=trilinear_budget)
+        checks.append(
+            _check_close(
+                "trilinear_coset_agreement",
+                tri_coset,
+                ts_spectral,
+                note="direct evaluation at one z per coset, times H, vs spectral stage-3 values",
+            )
+        )
+    tri_bound = trilinear_bound(nx, ny, nz, p)
     measured = tri_direct if tri_direct is not None else ts_spectral
 
     cascade = Cascade(
@@ -505,7 +547,7 @@ def build_trace(
     )
     sets = TraceSets(
         x=x,
-        x_weights=r3.counts[x],
+        x_weights=index.spread(r3.per_coset, r3.at_zero, x),
         y=y,
         z=z,
         g1=g1,
@@ -518,11 +560,11 @@ def build_trace(
         "delta": delta,
         "delta_gate_ratio": delta / H ** (-37 / 960),
         "g1_vs_nominal": g1 / (H**3 * delta**3 / st1.delta),
-        "x_vs_nominal": x.size / (H**2 * delta**6 / st1.delta**2),
+        "x_vs_nominal": nx / (H**2 * delta**6 / st1.delta**2),
         "g2_vs_nominal": g2 / (H**3 * st1.delta**3 / st2.delta),
-        "y_vs_nominal": y.size / (H**2 * st1.delta**6 / st2.delta**2),
+        "y_vs_nominal": ny / (H**2 * st1.delta**6 / st2.delta**2),
         "g3_vs_nominal": g3 / (H**2 * st2.delta**2 / st3.delta),
-        "z_vs_nominal": z.size / (H ** (31 / 20) * st2.delta**4 / st3.delta**2),
+        "z_vs_nominal": nz / (H ** (31 / 20) * st2.delta**4 / st3.delta**2),
         "delta1_vs_delta_cubed": st1.delta / delta**3,
         "delta2_vs_delta1_cubed": st2.delta / st1.delta**3,
         "delta3_vs_delta2_squared": st3.delta / st2.delta**2,

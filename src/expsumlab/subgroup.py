@@ -63,6 +63,10 @@ class CosetIndex:
             out[block] = coset[cols]
         return out
 
+    def members(self, cosets: np.ndarray) -> np.ndarray:
+        """The residues of the given cosets, sorted."""
+        return np.sort(self.reps[cosets, None] * self.steps % self.p, axis=None)
+
     def spread(self, per_coset: np.ndarray, at_zero, residues: np.ndarray | None = None) -> np.ndarray:
         """per_coset[j] on coset j and at_zero at 0, at every residue or at `residues`."""
         labels = self.labels if residues is None else self.labels[residues]

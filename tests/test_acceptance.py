@@ -72,7 +72,7 @@ def test_criterion_3_complete_and_gauss_cases():
         for p in (13, 101, 1009):
             full = all_sums(subgroup_of_order(p, p - 1))
             assert float(np.max(np.abs(full.magnitudes[1:] - 1.0))) < 1e-9, p
-            half = all_sums(subgroup_of_order(p, (p - 1) // 2), store_values=True)
+            half = all_sums(subgroup_of_order(p, (p - 1) // 2))
             dev = np.abs(np.abs(2.0 * half.values[1:] + 1.0) - math.sqrt(p))
             assert float(dev.max()) < 1e-6, p
 

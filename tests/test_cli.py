@@ -62,11 +62,26 @@ class TestEnergyCommand:
         assert run_cli("energy", "--prime", "13", "--order", "2", "--m", "2") == EXIT_OK
         out = capsys.readouterr().out
         assert "T_2 = 6" in out
-        assert "rounds to T_2: True" in out
+        assert "of T_2: True" in out
 
     def test_cross_check_larger_case(self, capsys):
         assert run_cli("energy", "--prime", "1009", "--order", "48", "--m", "3") == EXIT_OK
-        assert "rounds to T_3: True" in capsys.readouterr().out
+        assert "of T_3: True" in capsys.readouterr().out
+
+    def test_cross_check_above_float_spacing(self, capsys):
+        # p * T_2 > 2^53, so the moment cannot round to T_2; the derived bound covers it
+        assert run_cli("energy", "--prime", "1000003", "--order", "500001", "--m", "2") == EXIT_OK
+        out = capsys.readouterr().out
+        assert "T_2 = 62500375001000001" in out
+        assert "of T_2: True" in out
+
+    def test_energy_off_by_one_rejected(self):
+        sub = subgroup_of_order(1009, 48)
+        table = cli.all_sums(sub)
+        t_3 = cli.representation_counts(sub, 3).energy
+        assert cli._moment_check(table, 3, t_3)[2]
+        assert not cli._moment_check(table, 3, t_3 + 1)[2]
+        assert not cli._moment_check(table, 3, t_3 - 1)[2]
 
 
 class TestIdentitiesCommand:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from expsumlab import (
     divisors,
     energy_via_moments,
     j_count,
+    moment_error_bound,
     representation_counts,
     subgroup_of_order,
 )
@@ -64,10 +67,11 @@ class TestDifferenceCounts:
     @pytest.mark.parametrize("p,h", [(13, 3), (101, 10), (1009, 48)])
     def test_square_sum_is_t2(self, p, h):
         sub = subgroup_of_order(p, h)
-        rd = difference_counts(sub)
+        prof = difference_counts(sub)
+        rd = prof.counts
         assert int(rd.sum()) == h * h
-        assert rd[0] == h
-        assert int(np.dot(rd, rd)) == representation_counts(sub, 2).energy
+        assert rd[0] == prof.at_zero == h
+        assert int(np.dot(rd, rd)) == prof.energy == representation_counts(sub, 2).energy
 
 
 class TestMoments:
@@ -83,6 +87,32 @@ class TestMoments:
         sub = subgroup_of_order(13, 3)
         moment = energy_via_moments(all_sums(sub), 3)
         assert abs(moment - representation_counts(sub, 3).energy) < 0.5
+
+
+class TestMomentErrorBound:
+    @pytest.mark.parametrize("p", [13, 101, 257, 1009])
+    def test_bound_holds_and_keeps_the_rounding_verdict(self, p):
+        # the bound is rigorous, and below 1/2 it accepts exactly what rounding did
+        for h in divisors(p - 1):
+            sub = subgroup_of_order(p, h)
+            table = all_sums(sub)
+            for m in (1, 2, 3):
+                t_m = representation_counts(sub, m).energy
+                moment, bound = energy_via_moments(table, m), moment_error_bound(table, m)
+                assert abs(Fraction(moment) - t_m) <= bound, (p, h, m)
+                if bound < 0.5:
+                    for guess in (t_m - 1, t_m, t_m + 1):
+                        within = abs(Fraction(moment) - guess) <= bound
+                        assert within == (round(moment) == guess), (p, h, m, guess)
+
+    def test_bound_grows_past_float_spacing(self):
+        # p * T_2 > 2^53: rounding cannot confirm T_2, the bound still covers it
+        sub = subgroup_of_order(1000003, 500001)
+        table = all_sums(sub)
+        t_2 = representation_counts(sub, 2).energy
+        moment, bound = energy_via_moments(table, 2), moment_error_bound(table, 2)
+        assert round(moment) != t_2
+        assert 0.5 < abs(Fraction(moment) - t_2) <= bound < 1e-10 * t_2
 
 
 class TestBruteForce:

@@ -66,7 +66,7 @@ class TestDft:
     def test_prime_length_indicator(self):
         # the table is the prime-length DFT of the indicator, conjugated
         sub = subgroup_of_order(257, 16)
-        table = all_sums(sub, store_values=True)
+        table = all_sums(sub)
         spectrum = np.fft.fft(sub.indicator.astype(np.complex128))
         for a in (0, 1, 100, 256):
             expected = complex(subgroup_sum(-a, sub.elements, 257))
@@ -108,7 +108,7 @@ class TestAllSums:
     def test_strategy_equivalence_every_a(self, p, h):
         # the per-coset table against the transform of the indicator, every a
         sub = subgroup_of_order(p, h)
-        table = all_sums(sub, store_values=True)
+        table = all_sums(sub)
         assert np.max(np.abs(table.values - fft_sums(sub))) <= 1e-6 * h
         assert np.max(np.abs(table.magnitudes - np.abs(fft_sums(sub)))) <= 1e-6 * h
         for a in (1, p // 2, p - 1):
@@ -116,7 +116,7 @@ class TestAllSums:
 
     def test_table_matches_single_sum(self):
         sub = subgroup_of_order(1009, 48)
-        table = all_sums(sub, store_values=True)
+        table = all_sums(sub)
         rng = np.random.default_rng(11)
         for a in rng.integers(0, 1009, size=40):
             assert abs(table.values[a] - single_sum(int(a), sub)) < 1e-9
@@ -135,7 +135,7 @@ class TestAllSums:
         # H = (p-1)/2 is the quadratic-residue subgroup: |2 S_a + 1| = sqrt(p)
         for p in (13, 101, 1009):
             sub = subgroup_of_order(p, (p - 1) // 2)
-            table = all_sums(sub, store_values=True)
+            table = all_sums(sub)
             dev = np.abs(np.abs(2.0 * table.values[1:] + 1.0) - math.sqrt(p))
             assert float(dev.max()) < 1e-6
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,15 @@ from expsumlab import (
     build_trace,
     check_energy_cardinality,
     dyadic_stage,
+    is_prime,
     max_sum,
     moment_inequality_check,
     representation_counts,
     subgroup_of_order,
     trilinear_eval,
 )
-from oracles import subgroup_sum, tuple_level_trace
+from oracles import residue_level_trace, subgroup_sum, tuple_level_trace
+from test_acceptance import TRACE_ORDERS
 
 
 class TestDyadicStage:
@@ -178,6 +181,88 @@ class TestBuildTrace:
         tr = build_trace(subgroup_of_order(1009, 16))
         for key, value in tr.reported.items():
             assert np.isfinite(value), key
+
+
+def _trace_or_empty_stage(sub):
+    """(trace, None), or (None, k) when stage k leaves no nonzero residue."""
+    try:
+        return build_trace(sub), None
+    except EmptyTraceError as exc:
+        return None, int(re.search(r"stage-(\d)", str(exc)).group(1))
+
+
+# every p < 240 and every order 2 <= H <= 8 below the full group
+SWEEP = [
+    (p, h) for p in range(3, 240) if is_prime(p) for h in range(2, min(9, p - 1)) if (p - 1) % h == 0
+]
+
+
+def test_tuple_level_oracle_sweep():
+    """Every p < 240 and 2 <= H <= 8: the coset-coordinate cascade against
+    literal tuple enumeration, traced cases and empty ones alike."""
+    traced = 0
+    for p, h in SWEEP:
+        sub = subgroup_of_order(p, h)
+        tr, empty = _trace_or_empty_stage(sub)
+        a = tr.a if tr is not None else max_sum(sub)[0]
+        oracle = tuple_level_trace(p, sub.elements, a)
+        assert empty == oracle["empty_stage"], (p, h)
+        if tr is None:
+            continue
+        traced += 1
+        assert not tr.degenerate, (p, h)
+        assert [int(v) for v in tr.sets.x] == oracle["x"], (p, h)
+        assert [int(v) for v in tr.sets.y] == oracle["y"], (p, h)
+        assert [int(v) for v in tr.sets.z] == oracle["z"], (p, h)
+        assert tr.cascade.i0 == oracle["i0"], (p, h)
+        assert (tr.sets.g1, tr.sets.g2, tr.sets.g3) == oracle["g_sizes"], (p, h)
+        assert tr.cascade.delta2_meas == pytest.approx(oracle["delta_meas"][1], rel=1e-9)
+    assert traced and traced < len(SWEEP)
+
+
+@pytest.mark.parametrize(
+    "p,h", [(p, h) for p, orders in TRACE_ORDERS.items() for h in orders] + [(16111, 18)]
+)
+def test_residue_level_oracle(p, h):
+    """The coset stages against the per-residue stage 2 (one x at a time) and
+    stage 3 (X x Y products and a length-p FFT)."""
+    sub = subgroup_of_order(p, h)
+    tr = build_trace(sub)
+    oracle = residue_level_trace(p, sub.elements, tr.a)
+    assert tr.sets.x.tolist() == oracle["x"]
+    assert tr.sets.x_weights.tolist() == oracle["x_weights"]
+    assert tr.sets.y.tolist() == oracle["y"]
+    assert tr.sets.z.tolist() == oracle["z"]
+    assert tr.cascade.i0 == oracle["i0"]
+    assert (tr.sets.g1, tr.sets.g2, tr.sets.g3) == oracle["g_sizes"]
+    assert tr.cascade.delta == pytest.approx(oracle["delta"], rel=1e-9)
+    assert tr.cascade.delta1_meas == pytest.approx(oracle["delta_meas"][0], rel=1e-9)
+    assert tr.cascade.delta2_meas == pytest.approx(oracle["delta_meas"][1], rel=1e-9)
+
+
+def test_residue_level_oracle_empty_stage3():
+    sub = subgroup_of_order(36697, 22)
+    assert _trace_or_empty_stage(sub)[1] == 3
+    assert residue_level_trace(36697, sub.elements, max_sum(sub)[0])["empty_stage"] == 3
+
+
+def test_trilinear_coset_check_above_literal_budget():
+    """|X||Y||Z| above the budget but |X||Y||Z|/H within it: the literal sum
+    at one z per Z-coset, times H, stands in for the direct check."""
+    sub = subgroup_of_order(16111, 18)
+    full = build_trace(sub)
+    terms = full.sets.x.size * full.sets.y.size * full.sets.z.size
+    tr = build_trace(sub, trilinear_budget=terms // 18 + 1)
+    assert tr.trilinear_direct is None
+    assert tr.all_passed
+    check = tr.checks[-1]
+    assert check.name == "trilinear_coset_agreement"
+    assert check.rhs == tr.trilinear_sum == full.trilinear_sum
+    assert check.lhs == pytest.approx(full.trilinear_direct, rel=1e-9)
+    assert "trilinear_direct_agreement" not in [c.name for c in tr.checks]
+    below = build_trace(sub, trilinear_budget=terms // 18 - 1)
+    assert below.trilinear_direct is None and below.all_passed
+    assert "trilinear_coset_agreement" not in [c.name for c in below.checks]
 
 
 class TestMomentInequality:

@@ -105,7 +105,7 @@ def test_coset_index_small_blocks(monkeypatch, block, p, h):
     for j, coset in enumerate(index_cosets(index)):
         assert coset == {int(v) for v in (int(index.reps[j]) * sub.elements) % p}
         assert {int(index.labels[v]) for v in coset} == {j}
-    table = all_sums(sub, store_values=True)
+    table = all_sums(sub)
     fft = np.conj(np.fft.fft(sub.indicator.astype(np.float64)))
     assert np.max(np.abs(table.values - fft)) <= 1e-9 * h
     a_star = 1 + int(np.argmax(table.magnitudes[1:]))
@@ -145,7 +145,7 @@ def test_coset_index_layers_against_oracles(case):
     p, h, start, n_len = case
     sub = subgroup_of_order(p, h)
     elems = [int(v) for v in sub.elements]
-    table = all_sums(sub, store_values=True)
+    table = all_sums(sub)
     fft = np.conj(np.fft.fft(sub.indicator.astype(np.float64)))
     assert np.max(np.abs(table.values - fft)) <= 1e-9 * h
     for a in range(p):
@@ -155,7 +155,7 @@ def test_coset_index_layers_against_oracles(case):
         if h**m <= 20000:
             assert representation_counts(sub, m).energy == tuple_count_T(elems, p, m), m
     pairs = Counter((h1 - h2) % p for h1 in elems for h2 in elems)
-    assert list(difference_counts(sub)) == [pairs[d] for d in range(p)]
+    assert list(difference_counts(sub).counts) == [pairs[d] for d in range(p)]
     iv = Interval(start, n_len)
     expected = quadruple_loop_j([int(v) for v in iv.residues(p)], elems, p)
     assert j_count(iv, sub).energy == expected
