@@ -50,6 +50,10 @@ CSV_FIELDS = CSV_HEADER.split(",")
 
 JSON_SCHEMA_VERSION = 1
 
+# Most odd p a scan window may hold: each is tested for primality and each
+# prime's p - 1 factorized (about 10 us a candidate below 10^6).
+SCAN_CANDIDATE_LIMIT = 10**6
+
 
 @dataclass
 class ScanConfig:
@@ -94,9 +98,14 @@ class FitResult:
 
 
 def _enumerate_cases(config: ScanConfig) -> list[tuple[int, int]]:
+    lo = max(3, config.p_min if config.p_min % 2 else config.p_min + 1)
+    candidates = max(0, (config.p_max - lo) // 2 + 1)
+    if candidates > SCAN_CANDIDATE_LIMIT:
+        raise ResourceError(
+            f"the window holds {candidates} odd p, above the scan limit {SCAN_CANDIDATE_LIMIT}"
+        )
     cases = []
-    lo = config.p_min if config.p_min % 2 else config.p_min + 1
-    for p in range(max(lo, 3), config.p_max + 1, 2):
+    for p in range(lo, config.p_max + 1, 2):
         if not is_prime(p):
             continue
         logp = math.log(p)

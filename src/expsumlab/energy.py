@@ -24,6 +24,9 @@ from .subgroup import TABLE_BLOCK, CosetIndex, Subgroup
 # Budget guards.  ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
 DEFAULT_TUPLE_BUDGET = 10**8
+# Bound, in units of u = 2^-53, on the error of one phase of the sum table;
+# derived in energy_via_moments.
+PHASE_ERROR = 29
 
 
 @dataclass(eq=False)
@@ -117,13 +120,23 @@ def energy_via_moments(table: SumTable, m: int) -> float:
     cosets of |eta_j|^{2m}): the exact m-fold energy T_m up to float error.
 
     moment_error_bound(table, m) bounds that error, with u = 2^-53:
-    - each period is a sum of H phases, each within 22u of e(x/p) (three
-      roundings of an angle below 2*pi, 6*pi*u; cosine and sine within an
-      ulp each, 2*sqrt(2)*u), added in any order (componentwise at most
-      (H-1)u times H, so sqrt(2)*(H-1)*u*H), and its magnitude adds at most
-      2u*H: the table's c_j is within d = H*u*(24 + 1.5*H) of |eta_j|, so
-      c_j^{2m} is within 2m*d*(c_j + d)^{2m-1} of |eta_j|^{2m}, and its own
-      evaluation adds 2m*u*c_j^{2m};
+    - each phase hi[q] * lo[r] of all_sums (x = qB + r, B = isqrt(p-1) + 1)
+      is within PHASE_ERROR = 29u of e(x/p): the two angles 2*pi*(qB mod p)/p
+      and 2*pi*r/p carry three roundings each (pi, the division by p, the
+      product by an integer) and add up to below 2*pi*(p + B - 2)/p <= 2.4*pi,
+      so 7.2*pi*u; the cosine and sine of each table entry lie within an
+      ulp, at most u, each (2*sqrt(2)*u for the two entries); and the complex
+      product of two entries of modulus 1 + O(u) adds at most 2*sqrt(2)*u:
+      28.3u plus terms of order u^2;
+    - each period is a sum of H such phases added in any order
+      (componentwise at most (H-1)u times H, so sqrt(2)*(H-1)*u*H), and its
+      magnitude adds at most 2u*H: the table's c_j is within
+      d = H*u*(PHASE_ERROR + 2 + 1.5*H) of |eta_j|.  Halving the table adds
+      nothing: conjugating a period is exact, and for even H the period is
+      2 Re of a sum of H/2 phases, within twice the bound for H/2 terms,
+      which is within the bound for H terms.  So c_j^{2m} is within
+      2m*d*(c_j + d)^{2m-1} of |eta_j|^{2m}, and its own evaluation adds
+      2m*u*c_j^{2m};
     - the sum of the M powers adds at most M*u times their sum, and
       (H^{2m} + H * sum) / p four roundings of u times the result.
     The bound is scaled by 1 + 1e-6, above the relative error of its own
@@ -143,7 +156,7 @@ def moment_error_bound(table: SumTable, m: int) -> float:
     """Bound on |energy_via_moments(table, m) - T_m|, derived there."""
     order, c, k = table.order, table.coset_magnitudes, 2 * m
     u = 2.0**-53
-    d = order * u * (24 + 1.5 * order)
+    d = order * u * (PHASE_ERROR + 2 + 1.5 * order)
     periods = k * d * float(np.sum((c + d) ** (k - 1))) + (k + c.size) * u * float(np.sum(c**k))
     return (order * periods / table.p + 4 * u * energy_via_moments(table, m)) * (1 + 1e-6)
 

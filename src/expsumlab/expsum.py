@@ -3,9 +3,13 @@
 S_a is constant on the multiplicative cosets of the subgroup, so the full
 table is the list of Gaussian periods eta_j = sum over i of e(g^(j+iM)/p),
 one per coset, read off the coset index (g a primitive root, M = (p-1)/H)
-and spread to every residue.  The periods are plain float sums of H phases;
-every table lies within 1e-6 * H of a DFT of the subgroup indicator.
-"""
+and spread to every residue.  Each phase e(x/p) is the product of two
+entries of tables with about sqrt(p) entries each, and only half the power
+table is visited: for odd H the periods of the second half of the cosets
+are the exact conjugates of the first, for even H every period is exactly
+real.  So |S_-a| = |S_a| holds exactly, each phase is within
+PHASE_ERROR * 2^-53 of e(x/p) (derived in energy.energy_via_moments), and
+every table lies within 1e-6 * H of a DFT of the subgroup indicator."""
 
 from __future__ import annotations
 
@@ -79,28 +83,49 @@ def single_sum(a: int, sub: Subgroup) -> complex:
     return complex(math.fsum(map(math.cos, angles)), math.fsum(map(math.sin, angles)))
 
 
+def phase_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(B, hi, lo) with e(x/p) = hi[x // B] * lo[x % B] for 0 <= x < p:
+    hi[q] = e(qB mod p / p) and lo[r] = e(r/p), B = isqrt(p - 1) + 1 entries each."""
+    b = math.isqrt(p - 1) + 1
+    k = np.arange(b, dtype=np.int64)
+    turn = 2j * np.pi / p
+    return b, np.exp(turn * (k * b % p)), np.exp(turn * k)
+
+
 def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     """The full table of |S_a| for a = 0..p-1.
 
     The Gaussian period eta_j = S_(g^j) is the sum of column j of e(g^k/p)
-    laid out as an H x M matrix, accumulated a block at a time.
+    laid out as an H x M matrix, accumulated a block at a time from the two
+    phase tables.  -1 = g^((p-1)/2) halves the work: for odd H it is
+    g^(M/2) times a member of H, so coset j + M/2 is minus coset j and only
+    columns j < M/2 are summed; for even H it lies in H, so row i + H/2 is
+    minus row i and only rows i < H/2 are summed.
     """
     p, order = sub.p, sub.order
     if p > dense_limit:
         raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
     index = sub.coset_index(dense_limit)
     m = index.cosets
-    eta = np.zeros(m, dtype=np.complex128)
-    phases = np.empty(TABLE_BLOCK, dtype=np.complex128)  # reused by every block
-    for cols, block in index.blocks():
-        z = np.multiply(block, 2j * np.pi / p, out=phases[: block.size].reshape(block.shape))
-        eta[cols] += np.exp(z, out=z).sum(axis=0)
-    coset_mags = np.abs(eta)
-    if order % 2:
-        # -1 is outside H, so coset j + M/2 holds the conjugates of coset j:
-        # equal magnitudes make the smallest attaining residue well defined
-        coset_mags = np.maximum(coset_mags, np.roll(coset_mags, m // 2))
-    return SumTable(p, order, coset_mags, eta, index)
+    b, hi, lo = phase_tables(p)
+    odd = order % 2 == 1
+    eta = np.zeros(m // 2 if odd else m, dtype=np.complex128)
+    # buffers reused by every block
+    quo = np.empty(TABLE_BLOCK, dtype=np.int64)
+    high, low = np.empty((2, TABLE_BLOCK), dtype=np.complex128)
+    for cols, block in index.blocks(cols=m // 2) if odd else index.blocks(rows=order // 2):
+        n, shape = block.size, block.shape
+        q = np.floor_divide(block, b, out=quo[:n].reshape(shape))
+        z = np.take(hi, q, out=high[:n].reshape(shape), mode="clip")
+        r = np.subtract(block, np.multiply(q, b, out=q), out=block)
+        w = np.take(lo, r, out=low[:n].reshape(shape), mode="clip")
+        eta[cols] += np.multiply(z, w, out=z).sum(axis=0)
+    if odd:
+        # conjugate cosets share their magnitudes, so |S_-a| = |S_a| exactly
+        eta = np.concatenate((eta, eta.conj()))
+        return SumTable(p, order, np.tile(np.abs(eta[: m // 2]), 2), eta, index)
+    eta = (2 * eta.real).astype(np.complex128)
+    return SumTable(p, order, np.abs(eta.real), eta, index)
 
 
 def max_sum(sub: Subgroup, table: SumTable | None = None, **table_kwargs) -> tuple[int, float]:

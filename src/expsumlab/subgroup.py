@@ -13,6 +13,9 @@ from .field import PrimeModulus, primitive_root
 
 # Above this the dense 0/1 indicator (one byte per residue) is not allocated.
 DENSE_INDICATOR_LIMIT = 10**8
+# Largest subgroup order whose elements are listed (8 bytes each, plus a
+# same-sized temporary while they are sorted).
+ELEMENT_LIMIT = 10**7
 # Largest p for which length-p tables (coset index, sum table) are built.
 DEFAULT_DENSE_LIMIT = 10**7
 # Power-table entries per block, written into buffers allocated once per call
@@ -40,19 +43,26 @@ class CosetIndex:
     def cosets(self) -> int:
         return (self.p - 1) // self.order
 
-    def blocks(self):
-        """(cols, block) pairs covering the power table: columns `cols` of
-        consecutive rows, at most TABLE_BLOCK entries, in one buffer that
+    def blocks(self, rows: int | None = None, cols: int | None = None):
+        """(cols, block) pairs covering the first `rows` rows and `cols`
+        columns of the power table (all of them by default): columns `cols`
+        of consecutive rows, at most TABLE_BLOCK entries, in one buffer that
         the next block overwrites."""
-        width = min(self.cosets, TABLE_BLOCK)
+        rows = self.order if rows is None else rows
+        cols = self.cosets if cols is None else cols
+        width = min(cols, TABLE_BLOCK)
         height = max(1, TABLE_BLOCK // width)
-        buf = np.empty((height, width), dtype=np.int64)
-        for j in range(0, self.cosets, width):
-            reps = self.reps[j : j + width]
-            for i in range(0, self.order, height):
-                block = buf[: min(height, self.order - i), : reps.size]
-                np.multiply(self.steps[i : i + height, None], reps, out=block)
-                yield slice(j, j + width), np.remainder(block, self.p, out=block)
+        buf, quo = np.empty((2, height, width), dtype=np.int64)
+        for j in range(0, cols, width):
+            reps = self.reps[j : min(j + width, cols)]
+            for i in range(0, rows, height):
+                steps = self.steps[i : min(i + height, rows)]
+                block, q = buf[: steps.size, : reps.size], quo[: steps.size, : reps.size]
+                np.multiply(steps[:, None], reps, out=block)
+                # x - (x // p) * p: numpy's floor_divide by a scalar is several
+                # times faster than its remainder
+                np.multiply(np.floor_divide(block, self.p, out=q), self.p, out=q)
+                yield slice(j, j + reps.size), np.subtract(block, q, out=block)
 
     @cached_property
     def labels(self) -> np.ndarray:
@@ -74,13 +84,17 @@ class CosetIndex:
 
 
 def _geometric(g: int, n: int, p: int) -> np.ndarray:
-    """g^k mod p for k = 0..n-1, doubling the known prefix at each step."""
-    out = np.ones(n, dtype=np.int64)
+    """g^k mod p for k = 0..n-1, doubling the known prefix at each step.
+
+    Products of two residues are taken in int64 while they fit, otherwise
+    in Python integers (p above 2^31.5); the result is int64 either way."""
+    fits = (p - 1) ** 2 < 2**63
+    out = np.ones(n, dtype=np.int64 if fits else object)
     size, step = 1, g % p
     while size < n:
         out[size : 2 * size] = out[: min(size, n - size)] * step % p
         size, step = 2 * size, step * step % p
-    return out
+    return out if fits else out.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,14 +138,11 @@ def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
     p = pm.p
     if order < 1 or (p - 1) % order != 0:
         raise InputError(f"order {order} does not divide p - 1 = {p - 1}")
+    if order > ELEMENT_LIMIT:
+        raise ResourceError(f"order {order} exceeds the subgroup element limit {ELEMENT_LIMIT}")
     g = pow(primitive_root(pm), (p - 1) // order, p)
-    elems = []
-    x = 1
-    for _ in range(order):
-        elems.append(x)
-        x = x * g % p
-    assert x == 1, "generator does not have the requested order"
-    elements = np.sort(np.array(elems, dtype=np.int64))
+    assert pow(g, order, p) == 1, "generator does not have the requested order"
+    elements = np.sort(_geometric(g, order, p))
     indicator = None
     if p <= DENSE_INDICATOR_LIMIT:
         indicator = np.zeros(p, dtype=np.uint8)

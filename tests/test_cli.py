@@ -10,6 +10,7 @@ from expsumlab import cli, prooftrace, subgroup_of_order
 from expsumlab.cli import (
     CSV_HEADER,
     EXIT_BAD_INPUT,
+    EXIT_BUDGET,
     EXIT_OK,
     ScanConfig,
     fit_scan_rows,
@@ -51,6 +52,13 @@ class TestSumCommand:
         expected = abs(subgroup_sum(a, [1, p - 1], p))
         assert abs(value - expected) <= 1e-9 * 2
         assert abs(expected - 2 * abs(math.cos(2 * math.pi * a / p))) < 1e-9
+
+
+    def test_order_above_element_limit_refused(self, capsys):
+        # 5 * 10^8 subgroup elements: refused before any is listed
+        argv = ["sum", "--prime", "1000000007", "--order", "500000003", "--a", "1"]
+        assert run_cli(*argv) == EXIT_BUDGET
+        assert "element limit" in capsys.readouterr().err
 
 
 class TestEnergyCommand:
@@ -158,6 +166,11 @@ class TestTraceCommand:
 
 
 class TestScanCommand:
+    def test_window_above_candidate_limit_refused(self, capsys):
+        # 5 * 10^11 odd candidates: refused before the first primality test
+        assert run_cli("scan", "--p-min", "3", "--p-max", "1000000000000") == EXIT_BUDGET
+        assert "scan limit" in capsys.readouterr().err
+
     def test_window_includes_known_case(self):
         rows, _ = run_scan(ScanConfig(p_min=100, p_max=200))
         assert any(r["p"] == 101 and r["H"] == 10 for r in rows)

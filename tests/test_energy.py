@@ -18,6 +18,8 @@ from expsumlab import (
     representation_counts,
     subgroup_of_order,
 )
+from expsumlab.energy import PHASE_ERROR
+from expsumlab.expsum import phase_tables
 from oracles import quadruple_loop_j, tuple_count_T
 
 
@@ -87,6 +89,22 @@ class TestMoments:
         sub = subgroup_of_order(13, 3)
         moment = energy_via_moments(all_sums(sub), 3)
         assert abs(moment - representation_counts(sub, 3).energy) < 0.5
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+@pytest.mark.parametrize("p", [3, 5, 13, 1009, 9999991])
+def test_phase_error_within_stated_constant(p):
+    # every residue below 10^4, else 10^6 drawn ones and the last of the range
+    if p < 10**4:
+        x = np.arange(p, dtype=np.int64)
+    else:
+        x = np.append(np.random.default_rng(p).integers(0, p, 10**6), p - 1)
+    b, hi, lo = phase_tables(p)
+    got = hi[x // b] * lo[x % b]
+    # reference angle within a few 2^-64 of 2*pi*x/p, cosine and sine within an ulp of it
+    angle = 8 * np.arctan(np.longdouble(1)) * x.astype(np.longdouble) / p
+    err = np.hypot(got.real - np.cos(angle), got.imag - np.sin(angle))
+    assert float(err.max()) <= PHASE_ERROR * 2.0**-53
 
 
 class TestMomentErrorBound:

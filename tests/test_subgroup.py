@@ -26,6 +26,15 @@ def test_subgroup_examples():
     assert list(subgroup_of_order(13, 12).elements) == list(range(1, 13))
 
 
+@pytest.mark.parametrize("p,h", [(1009, 48), (2**61 - 1, 210)])
+def test_subgroup_elements_are_the_powers(p, h):
+    # int64 products below p = 2^31.5, Python integers above
+    sub = subgroup_of_order(p, h)
+    g = sub.generator
+    assert [int(v) for v in sub.elements] == sorted(pow(g, k, p) for k in range(h))
+    assert pow(g, h // 2, p) != 1
+
+
 def test_order_must_divide():
     with pytest.raises(InputError):
         subgroup_of_order(13, 5)
@@ -91,11 +100,27 @@ def test_coset_index_partition(p, h):
     assert {int(v) for v in index.steps} == {int(v) for v in sub.elements}
 
 
+def assert_period_symmetry(table):
+    """-1 = g^((p-1)/2): for odd H coset j + M/2 is minus coset j, so its
+    period is the exact conjugate; for even H every period is exactly real."""
+    half = table.index.cosets // 2
+    if table.order % 2:
+        assert np.array_equal(table.eta[half:], np.conj(table.eta[:half]))
+        assert table.coset_magnitudes[half:].tobytes() == table.coset_magnitudes[:half].tobytes()
+    else:
+        assert np.all(table.eta.imag == 0)
+
+
 @pytest.mark.parametrize("block", [1, 3, 7, 64])
-@pytest.mark.parametrize("p,h", [(13, 3), (101, 5), (1009, 16), (1009, 1)])
+@pytest.mark.parametrize(
+    "p,h", [(3, 1), (3, 2), (13, 3), (13, 12), (101, 5), (101, 20), (1009, 16), (1009, 1)]
+)
 def test_coset_index_small_blocks(monkeypatch, block, p, h):
     """Blocks smaller than a row split the columns as well as the rows; the
-    index and every layer that reads it come out the same."""
+    index and every layer that reads it come out the same.  The half tables
+    of all_sums end inside what would be one block of the whole table (the
+    columns of (101, 5) at block 7, the rows of (13, 12) at block 7 and of
+    (101, 20) at block 64), and their blocks stop there."""
     monkeypatch.setattr(subgroup, "TABLE_BLOCK", block)
     sub = subgroup_of_order(p, h)
     index = sub.coset_index()
@@ -105,7 +130,16 @@ def test_coset_index_small_blocks(monkeypatch, block, p, h):
     for j, coset in enumerate(index_cosets(index)):
         assert coset == {int(v) for v in (int(index.reps[j]) * sub.elements) % p}
         assert {int(index.labels[v]) for v in coset} == {j}
+    rows, cols = (h, index.cosets // 2) if h % 2 else (h // 2, index.cosets)
+    entries = Counter()
+    for cs, chunk in index.blocks(rows=rows, cols=cols):
+        assert chunk.size <= block and chunk.shape[1] == len(range(cols)[cs])
+        entries.update(int(v) for v in chunk.ravel())
+    assert entries == Counter(
+        int(index.reps[j]) * int(index.steps[i]) % p for i in range(rows) for j in range(cols)
+    )
     table = all_sums(sub)
+    assert_period_symmetry(table)
     fft = np.conj(np.fft.fft(sub.indicator.astype(np.float64)))
     assert np.max(np.abs(table.values - fft)) <= 1e-9 * h
     a_star = 1 + int(np.argmax(table.magnitudes[1:]))
@@ -138,6 +172,7 @@ def prime_order_interval(draw):
 @given(prime_order_interval())
 @example((3, 1, 0, 3)).via("edge: p = 3, H = 1, the interval holds 0")
 @example((3, 2, 2, 1)).via("edge: p = 3, H = p - 1, the interval is {0}")
+@example((5, 1, 1, 2)).via("edge: H = 1, M = 4 cosets in conjugate pairs")
 @example((13, 1, 5, 13)).via("edge: H = 1")
 @example((13, 2, 11, 4)).via("edge: H = 2")
 @example((101, 100, 0, 1)).via("edge: H = p - 1")
@@ -146,6 +181,7 @@ def test_coset_index_layers_against_oracles(case):
     sub = subgroup_of_order(p, h)
     elems = [int(v) for v in sub.elements]
     table = all_sums(sub)
+    assert_period_symmetry(table)
     fft = np.conj(np.fft.fft(sub.indicator.astype(np.float64)))
     assert np.max(np.abs(table.values - fft)) <= 1e-9 * h
     for a in range(p):
