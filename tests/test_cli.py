@@ -53,7 +53,6 @@ class TestSumCommand:
         assert abs(value - expected) <= 1e-9 * 2
         assert abs(expected - 2 * abs(math.cos(2 * math.pi * a / p))) < 1e-9
 
-
     def test_order_above_element_limit_refused(self, capsys):
         # 5 * 10^8 subgroup elements: refused before any is listed
         argv = ["sum", "--prime", "1000000007", "--order", "500000003", "--a", "1"]
