@@ -161,8 +161,10 @@ def _scan_case(args: tuple[int, int, dict]) -> dict:
             row["ratio2"] = s_int / row["thm2"]
             row["ratio3"] = s_int / row["thm3"]
             row["J"] = j_count(interval, sub).energy
+        prof = None
         for m in cfg["moments"]:
-            prof = representation_counts(sub, m)
+            # continue the folds of the previous m where it is smaller
+            prof = representation_counts(sub, m, prof if prof is not None and prof.m <= m else None)
             row[f"T{m}"] = prof.energy
             moment, bound, agrees = _moment_check(table, m, prof.energy)
             if not agrees:
@@ -411,7 +413,8 @@ def cmd_trace(args) -> int:
     if args.interval_length is not None:
         interval = Interval(start=args.interval_start or 0, length=args.interval_length)
         j_prof = j_count(interval, sub)
-        r2, r3 = representation_counts(sub, 2), representation_counts(sub, 3)
+        r2 = representation_counts(sub, 2)
+        r3 = representation_counts(sub, 3, r2)
     a = args.a
     try:
         trace = build_trace(

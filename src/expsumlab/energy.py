@@ -18,15 +18,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .expsum import Interval, SumTable
+from .expsum import Interval, SumTable, period_error
 from .subgroup import TABLE_BLOCK, CosetIndex, Subgroup
 
 # Budget guards.  ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
 DEFAULT_TUPLE_BUDGET = 10**8
-# Bound, in units of u = 2^-53, on the error of one phase of the sum table;
-# derived in energy_via_moments.
-PHASE_ERROR = 29
 
 
 @dataclass(eq=False)
@@ -89,18 +86,27 @@ def _sums_at_cosets(
     return sums[1:], int(sums[0])
 
 
-def representation_counts(sub: Subgroup, m: int) -> EnergyProfile:
+def representation_counts(
+    sub: Subgroup, m: int, base: EnergyProfile | None = None
+) -> EnergyProfile:
     """m-fold additive representation counts r_m(lam) = sum over h of
-    r_(m-1)(lam - h), each fold evaluated once per coset."""
+    r_(m-1)(lam - h), each fold evaluated once per coset.  The folds start
+    from base, a profile of sub with base.m <= m, when one is given (r_3 from
+    r_2 takes one fold, not two), else from r_1."""
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
     order = sub.order
     if order ** (2 * m) > ENERGY_CAP:
         raise ResourceError(f"energy H^(2m) = {order}^{2 * m} exceeds the accumulator budget")
     index = sub.coset_index()
-    # r_1 is the indicator: 1 on coset 0, the subgroup itself
-    per_coset, at_zero = (np.arange(index.cosets) == 0).astype(np.int64), 0
-    for _ in range(m - 1):
+    if base is None:
+        # r_1 is the indicator: 1 on coset 0, the subgroup itself
+        per_coset, at_zero, done = (np.arange(index.cosets) == 0).astype(np.int64), 0, 1
+    elif base.index is index and base.m <= m:
+        per_coset, at_zero, done = base.per_coset, base.at_zero, base.m
+    else:
+        raise InputError(f"base must be a fold of this subgroup with m <= {m}")
+    for _ in range(m - done):
         per_coset, at_zero = _sums_at_cosets(sub, per_coset, at_zero, -1)
     safe = order ** (2 * m) < 2**62
     energy = at_zero * at_zero + order * _exact_square_sum(per_coset, safe)
@@ -131,12 +137,12 @@ def energy_via_moments(table: SumTable, m: int) -> float:
     - each period is a sum of H such phases added in any order
       (componentwise at most (H-1)u times H, so sqrt(2)*(H-1)*u*H), and its
       magnitude adds at most 2u*H: the table's c_j is within
-      d = H*u*(PHASE_ERROR + 2 + 1.5*H) of |eta_j|.  Halving the table adds
-      nothing: conjugating a period is exact, and for even H the period is
-      2 Re of a sum of H/2 phases, within twice the bound for H/2 terms,
-      which is within the bound for H terms.  So c_j^{2m} is within
-      2m*d*(c_j + d)^{2m-1} of |eta_j|^{2m}, and its own evaluation adds
-      2m*u*c_j^{2m};
+      d = period_error(H) = H*u*(PHASE_ERROR + 2 + 1.5*H) of |eta_j|.
+      Halving the table adds nothing: conjugating a period is exact, and
+      for even H the period is 2 Re of a sum of H/2 phases, within twice the
+      bound for H/2 terms, which is within the bound for H terms.  So
+      c_j^{2m} is within 2m*d*(c_j + d)^{2m-1} of |eta_j|^{2m}, and its own
+      evaluation adds 2m*u*c_j^{2m};
     - the sum of the M powers adds at most M*u times their sum, and
       (H^{2m} + H * sum) / p four roundings of u times the result.
     The bound is scaled by 1 + 1e-6, above the relative error of its own
@@ -155,8 +161,7 @@ def energy_via_moments(table: SumTable, m: int) -> float:
 def moment_error_bound(table: SumTable, m: int) -> float:
     """Bound on |energy_via_moments(table, m) - T_m|, derived there."""
     order, c, k = table.order, table.coset_magnitudes, 2 * m
-    u = 2.0**-53
-    d = order * u * (PHASE_ERROR + 2 + 1.5 * order)
+    u, d = 2.0**-53, period_error(table.order)
     periods = k * d * float(np.sum((c + d) ** (k - 1))) + (k + c.size) * u * float(np.sum(c**k))
     return (order * periods / table.p + 4 * u * energy_via_moments(table, m)) * (1 + 1e-6)
 

@@ -22,6 +22,16 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .subgroup import DEFAULT_DENSE_LIMIT, TABLE_BLOCK, CosetIndex, Subgroup
 
+# Bound, in units of u = 2^-53, on the error of one phase of the sum table;
+# derived in energy.energy_via_moments.
+PHASE_ERROR = 29
+
+
+def period_error(order: int) -> float:
+    """d = H*u*(PHASE_ERROR + 2 + 1.5H): every coset magnitude c_j of all_sums
+    lies within d of |eta_j| (derived in energy.energy_via_moments)."""
+    return order * 2.0**-53 * (PHASE_ERROR + 2 + 1.5 * order)
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -129,12 +139,20 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
 
 
 def max_sum(sub: Subgroup, table: SumTable | None = None, **table_kwargs) -> tuple[int, float]:
-    """(a*, max over a != 0 of |S_a|); a* is the least member of the attaining cosets."""
+    """(a*, max over a != 0 of |S_a|).  a* is the least member of the cosets
+    whose magnitude is within 2 * period_error(H) of the maximum: every coset
+    whose true |eta_j| attains the true maximum is among them, so a* does not
+    depend on the last bits of the table."""
     if table is None:
         table = all_sums(sub, **table_kwargs)
-    best = table.coset_magnitudes.max()
-    reps = table.index.reps[np.flatnonzero(table.coset_magnitudes == best)]
-    a_star = int(((reps[:, None] * sub.elements[None, :]) % sub.p).min())
+    c = table.coset_magnitudes
+    best = c.max()
+    reps = table.index.reps[c >= best - 2 * period_error(sub.order)]
+    rows = max(1, TABLE_BLOCK // sub.order)
+    a_star = min(
+        int((reps[i : i + rows, None] * sub.elements % sub.p).min())
+        for i in range(0, reps.size, rows)
+    )
     return a_star, float(best)
 
 

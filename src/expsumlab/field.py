@@ -31,6 +31,9 @@ def _sieve(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _sieve(1000)
+# The square of the least prime above _SMALL_PRIMES: a number below it with no
+# factor in _SMALL_PRIMES is 1 or prime.
+_TRIAL_SQUARE = 1009**2
 
 
 def _miller_rabin(n: int) -> bool:
@@ -56,11 +59,11 @@ def is_prime(n: int) -> bool:
     if not 2 <= n < MODULUS_CAP:
         raise InputError(f"primality test requires 2 <= n < 2^62, got {n}")
     for q in _SMALL_PRIMES:
-        if n == q:
+        if q * q > n:
             return True
         if n % q == 0:
-            return False
-    return _miller_rabin(n)
+            return n == q
+    return n < _TRIAL_SQUARE or _miller_rabin(n)
 
 
 def _pollard_rho(n: int) -> int:
@@ -83,12 +86,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
         raise InputError(f"factorization requires 1 <= n < 2^62, got {n}")
     factors: Counter[int] = Counter()
     for q in _SMALL_PRIMES:
+        if q * q > n:
+            break
         while n % q == 0:
             factors[q] += 1
             n //= q
-        if n == 1:
-            break
-    if n > 1:
+    if 1 < n < _TRIAL_SQUARE:  # no prime factor below min(q, 1009): n is prime
+        factors[n] += 1
+    elif n > 1:
         stack = [n]
         while stack:
             m = stack.pop()

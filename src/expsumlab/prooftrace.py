@@ -19,7 +19,9 @@ every stage runs on arrays of length M + 1 (M = (p-1)/H): entry 0 is the
 residue 0 and entry 1 + k is coset k of the coset index, weighted by exact
 representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
 of cosets; they are expanded to residues only for the result and for the
-literal trilinear check.
+literal trilinear check.  That check (trilinear_eval) shares nothing with the
+spectral path but the sets: it sums its own phase table, once per distinct
+product a*z*x, which on these sets is at most |Z||X|/H products.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .subgroup import Subgroup
 
 REL_TOL = 1e-6
 DEFAULT_TRILINEAR_BUDGET = 10**9
+# Entries per block of the literal trilinear check's products and phases.
+TRILINEAR_BLOCK = 2**16
 
 
 class EmptyTraceError(RuntimeError):
@@ -262,6 +266,24 @@ def _pair_sums(xc: np.ndarray, yc: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
+def _product_blocks(r: np.ndarray, c: np.ndarray, p: int, buf: np.ndarray):
+    """(rows, block) pairs with block = r[rows, None] * c[cols] mod p, covering
+    every row and column in blocks of at most TRILINEAR_BLOCK entries, written
+    into buf (2 x TRILINEAR_BLOCK int64), which the next block overwrites."""
+    width = min(c.size, TRILINEAR_BLOCK)
+    height = max(1, TRILINEAR_BLOCK // width)
+    for j in range(0, c.size, width):
+        cols = c[j : j + width]
+        for i in range(0, r.size, height):
+            rows = r[i : i + height]
+            shape, n = (rows.size, cols.size), rows.size * cols.size
+            block = np.multiply(rows[:, None], cols, out=buf[0, :n].reshape(shape))
+            q = buf[1, :n].reshape(shape)
+            # x - (x // p) * p: numpy divides by a scalar faster than it takes a remainder
+            np.multiply(np.floor_divide(block, p, out=q), p, out=q)
+            yield slice(i, i + rows.size), np.subtract(block, q, out=block)
+
+
 def trilinear_eval(
     x_set: np.ndarray,
     y_set: np.ndarray,
@@ -272,40 +294,49 @@ def trilinear_eval(
 ) -> float:
     """sum over z of |sum over (x, y) of e(a*x*y*z/p)| by direct evaluation.
 
-    Every one of the |X|*|Y|*|Z| phase terms is touched; the inner double
-    sum per z has no coset shortcut.  Guarded by the term budget.
+    The literal sum, regrouped: with c_z = a*z mod p it is sum over z of
+    |sum over x of G(c_z*x mod p)|, where G(w) = sum over y of e(w*y/p) is
+    evaluated term by term once for each distinct product w.  The distinct
+    products U are marked in a p-byte array; G is evaluated on U from a
+    length-p np.exp table and then written into that table at U, which is
+    not read again, so the per-z sums gather G directly.  That is 2|Z||X|
+    products (one pass to mark, one to gather) and |U||Y| phase terms, with
+    |U| <= min(p, |Z||X|): never more than |X||Y||Z| + 2|Z||X|.  No
+    FFT, coset index or pair count is used, so the check stays independent
+    of the spectral stage-3 values.  Memory: the 16p-byte table, the p-byte
+    mark, 24 bytes per distinct product (U and G) and block buffers of
+    TRILINEAR_BLOCK entries reused by every block.  The budget still counts
+    all |X|*|Y|*|Z| terms.
     """
-    x = np.asarray(x_set, dtype=np.int64)
-    y = np.asarray(y_set, dtype=np.int64)
-    z = np.asarray(z_set, dtype=np.int64)
+    x, y, z = (np.asarray(s, dtype=np.int64) for s in (x_set, y_set, z_set))
     if min(x.size, y.size, z.size) == 0:
         return 0.0
     if x.size * y.size * z.size > budget:
         raise ResourceError(
             f"trilinear evaluation needs {x.size * y.size * z.size} terms, budget {budget}"
         )
-    phases = np.exp((2j * np.pi / p) * np.arange(p))
-    a = int(a) % p
-    rows = max(1, 2**16 // y.size)
-    starts = range(0, x.size, rows)
+    x, y, c = x % p, y % p, int(a) % p * (z % p) % p
+    buf = np.empty((2, TRILINEAR_BLOCK), dtype=np.int64)
+    terms = np.empty(TRILINEAR_BLOCK, dtype=np.complex128)
 
-    def products(i: int) -> np.ndarray:
-        return (x[i : i + rows, None] * y % p).ravel()
+    def sums(r: np.ndarray, col: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """out[i] = sum over j of table[r[i] * col[j] mod p]."""
+        out = np.zeros(r.size, dtype=np.complex128)
+        for rows, w in _product_blocks(r, col, p, buf):
+            t = np.take(table, w, out=terms[: w.size].reshape(w.shape), mode="clip")
+            out[rows] += t.sum(axis=1)
+        return out
 
-    blocks = [products(i) for i in starts] if x.size * y.size <= 2**24 else None
-    # index, quotient and phase buffers shared by every z and block: no per-z temporaries
-    idx, quot = np.empty((2, min(rows, x.size) * y.size), dtype=np.int64)
-    terms = np.empty(idx.size, dtype=np.complex128)
+    mark = np.zeros(p, dtype=bool)
+    for _, w in _product_blocks(c, x, p, buf):
+        mark[w] = True
+    u = np.flatnonzero(mark)
+    del mark  # before the table is built: the two never coexist
+    phases = np.arange(p, dtype=np.complex128)
+    np.exp(np.multiply(phases, 2j * np.pi / p, out=phases), out=phases)
+    phases[u] = sums(u, y, phases)  # G on U; the phase table is not read again
     total = comp = 0.0
-    for zv in z:
-        c = (a * int(zv)) % p
-        s = 0j
-        for blk in blocks if blocks is not None else map(products, starts):
-            i, q = np.multiply(blk, c, out=idx[: blk.size]), quot[: blk.size]
-            # c*xy mod p: numpy divides by a scalar faster than it takes a remainder
-            i -= np.multiply(np.floor_divide(i, p, out=q), p, out=q)
-            s += complex(np.take(phases, i, out=terms[: blk.size], mode="clip").sum())
-        v = abs(s)
+    for v in np.abs(sums(c, x, phases)).tolist():
         t = total + v
         comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
         total = t
@@ -359,7 +390,9 @@ def build_trace(
     if mag_a <= 1.0:
         return _degenerate(sub, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
     if r3 is None:
-        r3 = representation_counts(sub, 3)
+        if r2 is None:
+            r2 = representation_counts(sub, 2)
+        r3 = representation_counts(sub, 3, r2)  # one more fold from r_2
     t3 = r3.energy
 
     # Every stage works on _slots arrays; multiplicities are H times the
@@ -494,7 +527,7 @@ def build_trace(
         raise EmptyTraceError("stage-3 bucket holds only the zero residue")
     nz = H * zc.size
     g3 = st3.weight
-    if r2 is None:  # read only here, so a trace that ends empty never builds it
+    if r2 is None:  # r3 was passed in without its r2
         r2 = representation_counts(sub, 2)
     checks.append(check_energy_cardinality(nz, g3, st3.delta, st2.delta, r2.energy, "difference"))
 

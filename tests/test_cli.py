@@ -53,6 +53,12 @@ class TestSumCommand:
         assert abs(value - expected) <= 1e-9 * 2
         assert abs(expected - 2 * abs(math.cos(2 * math.pi * a / p))) < 1e-9
 
+    def test_tied_maxima_give_least_a(self, capsys):
+        # H = 1: every |S_a| is 1, so a* is the least residue, not the one
+        # whose float magnitude happens to round highest
+        assert run_cli("sum", "--prime", "9999991", "--order", "1") == EXIT_OK
+        assert "(a* = 1) = " in capsys.readouterr().out
+
     def test_order_above_element_limit_refused(self, capsys):
         # 5 * 10^8 subgroup elements: refused before any is listed
         argv = ["sum", "--prime", "1000000007", "--order", "500000003", "--a", "1"]

@@ -18,8 +18,7 @@ from expsumlab import (
     representation_counts,
     subgroup_of_order,
 )
-from expsumlab.energy import PHASE_ERROR
-from expsumlab.expsum import phase_tables
+from expsumlab.expsum import PHASE_ERROR, phase_tables
 from oracles import quadruple_loop_j, tuple_count_T
 
 

@@ -1,8 +1,12 @@
+import cmath
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsumlab import (
     EmptyTraceError,
@@ -11,6 +15,7 @@ from expsumlab import (
     all_sums,
     build_trace,
     check_energy_cardinality,
+    divisors,
     dyadic_stage,
     is_prime,
     max_sum,
@@ -99,6 +104,13 @@ class TestEnergyCardinality:
         assert not c.passed
 
 
+def _triple_loop(x, y, z, a, p):
+    return sum(
+        abs(sum(cmath.exp(2j * math.pi * ((a * xi * yi * zi) % p) / p) for xi in x for yi in y))
+        for zi in z
+    )
+
+
 class TestTrilinearEval:
     def test_single_term(self):
         assert trilinear_eval([1], [1], [1], 1, 13) == pytest.approx(1.0, abs=1e-12)
@@ -111,21 +123,48 @@ class TestTrilinearEval:
             trilinear_eval(range(100), range(100), range(101), 1, 1009, budget=10**6)
 
     def test_matches_triple_loop(self):
-        import cmath
-
         x, y, z = [1, 3, 9], [2, 5], [4, 7, 11]
         p, a = 13, 2
-        expected = sum(
-            abs(
-                sum(
-                    cmath.exp(2j * math.pi * ((a * xi * yi * zi) % p) / p)
-                    for xi in x
-                    for yi in y
-                )
-            )
-            for zi in z
+        assert trilinear_eval(x, y, z, a, p) == pytest.approx(
+            _triple_loop(x, y, z, a, p), abs=1e-9
         )
-        assert trilinear_eval(x, y, z, a, p) == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=60)
+    @given(st.sampled_from([3, 5, 13, 31, 61]), st.data())
+    def test_matches_triple_loop_property(self, p, data):
+        """Repeated entries, zeros, a = 0 and entries at or above p, and sets
+        that are unions of H-cosets, so that the distinct products c_z * x are
+        fewer than |Z||X|."""
+        a = data.draw(st.integers(0, 2 * p), label="a")
+        h = data.draw(st.sampled_from(divisors(p - 1)), label="H")
+        elems = [int(v) for v in subgroup_of_order(p, h).elements]
+
+        def draw(name):
+            if data.draw(st.booleans(), label=f"{name} is a union of cosets"):
+                reps = data.draw(st.lists(st.integers(0, 2 * p), min_size=1, max_size=2), label=name)
+                return [r * e for r in reps for e in elems]
+            return data.draw(st.lists(st.integers(0, 3 * p), min_size=1, max_size=6), label=name)
+
+        x, y, z = draw("x"), draw("y"), draw("z")
+        assert trilinear_eval(x, y, z, a, p) == pytest.approx(
+            _triple_loop(x, y, z, a, p), abs=1e-9
+        )
+
+    def test_peak_memory(self):
+        """At p near 10^6 the check holds its 16p-byte phase table (after
+        its p-byte mark is freed), block buffers and 24 bytes per distinct
+        product (27173 here): within 17p bytes plus 4 MB."""
+        p = 1000003
+        x, y, z = np.arange(1, 301), np.arange(1, 201), np.arange(1, 101) ** 3
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            value = trilinear_eval(x, y, z, 5, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < value <= x.size * y.size * z.size
+        assert peak <= 17 * p + 4 * 2**20
 
 
 class TestBuildTrace:
