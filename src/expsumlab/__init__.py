@@ -13,7 +13,6 @@ from .energy import (
     DifferenceProfile,
     EnergyProfile,
     IntervalProductProfile,
-    brute_force_T,
     difference_counts,
     energy_via_moments,
     j_count,
@@ -29,7 +28,7 @@ from .expsum import (
     max_sum,
     single_sum,
 )
-from .field import PrimeModulus, divisors, factorize, is_prime, mod_pow, primitive_root
+from .field import PrimeModulus, divisors, factorize, is_prime, primitive_root
 from .prooftrace import (
     Cascade,
     CheckResult,
@@ -52,7 +51,6 @@ __all__ = [
     "DifferenceProfile",
     "EnergyProfile",
     "IntervalProductProfile",
-    "brute_force_T",
     "difference_counts",
     "energy_via_moments",
     "j_count",
@@ -70,7 +68,6 @@ __all__ = [
     "divisors",
     "factorize",
     "is_prime",
-    "mod_pow",
     "primitive_root",
     "Cascade",
     "CheckResult",

@@ -99,10 +99,6 @@ def thm2_bound(p: float, N: float, H: float) -> float:
     )
 
 
-def thm2_in_range(p: float, H: float) -> bool:
-    return H < _powf(p, Fraction(1, 2))
-
-
 def thm3_bound(p: float, N: float, H: float) -> float:
     """Cascade-route double-sum bound N*H * Delta^{1/24}."""
     params = BoundParams.compute(p, N, H)
@@ -121,37 +117,6 @@ def t3_energy_bound(H: float) -> float | None:
     if H < 2:
         return None
     return _powf(H, T3_H_EXP) * math.log(H)
-
-
-def product_count_bound(p: float, N: float, H: float, from_origin: bool = False) -> float:
-    """H^2 + N*H + N^2 H^2 / p + N H^{7/4} / p^{1/4}.
-
-    When the interval starts at the origin the H^2 term drops.
-    """
-    _require_positive(p=p, N=N, H=H)
-    value = N * H + N * N * H * H / p + N * _powf(H, Fraction(7, 4)) / _powf(p, _ONE_QUARTER)
-    if not from_origin:
-        value += H * H
-    return value
-
-
-@dataclass(frozen=True)
-class LemmaBoundValues:
-    t2: float | None
-    t3: float | None
-    j: float
-
-
-def lemma_bounds(
-    p: float, N: float, H: float, interval_from_origin: bool = False
-) -> LemmaBoundValues:
-    """The three auxiliary bound values used in reports."""
-    _require_positive(p=p, N=N, H=H)
-    return LemmaBoundValues(
-        t2=t2_energy_bound(H),
-        t3=t3_energy_bound(H),
-        j=product_count_bound(p, N, H, from_origin=interval_from_origin),
-    )
 
 
 def trilinear_bound(size_x: float, size_y: float, size_z: float, p: float) -> float:
@@ -257,45 +222,3 @@ def exponent_identity_suite() -> list[IdentityCheck]:
         _saving_order_identity(),
         _improvement_threshold_identity(),
     ]
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One empirical-vs-theoretical comparison."""
-
-    name: str
-    p: int
-    H: int
-    empirical: float
-    theoretical: float
-    ratio: float
-    nontrivial: bool
-    in_range: bool
-    N: int | None = None
-    L: int | None = None
-
-
-def make_report(
-    name: str,
-    p: int,
-    H: int,
-    empirical: float,
-    theoretical: float,
-    trivial: float,
-    in_range: bool,
-    N: int | None = None,
-    L: int | None = None,
-) -> BoundReport:
-    _require_positive(theoretical=theoretical)
-    return BoundReport(
-        name=name,
-        p=p,
-        H=H,
-        empirical=empirical,
-        theoretical=theoretical,
-        ratio=empirical / theoretical,
-        nontrivial=theoretical < trivial,
-        in_range=in_range,
-        N=N,
-        L=L,
-    )

@@ -2,18 +2,16 @@
 product-collision counts between an interval and a subgroup.
 
 Every count here is constant on the multiplicative cosets of the subgroup,
-so it is evaluated once per coset of the coset index (plus once at 0) and
-spread to every residue when first read.  Everything is integer-exact; the
+so it is evaluated and kept once per coset of the coset index, plus once at
+0; nothing of length p is returned.  Everything is integer-exact; the
 counts run in int64 (values are guaranteed to fit whenever the H^{2m}
 overflow guard passes, with a big-int fallback for the final squared sums).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -21,14 +19,14 @@ from .errors import InputError, ResourceError
 from .expsum import Interval, SumTable, period_error
 from .subgroup import TABLE_BLOCK, CosetIndex, Subgroup
 
-# Budget guards.  ENERGY_CAP mirrors a 128-bit accumulator.
+# Budget guard: ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
-DEFAULT_TUPLE_BUDGET = 10**8
 
 
 @dataclass(eq=False)
 class _CosetProfile:
-    """counts is per_coset[j] on coset j and at_zero at 0, spread on first use."""
+    """A count that is per_coset[j] at every residue of coset j of index and
+    at_zero at 0, with energy the sum of its squares over all residues."""
 
     p: int
     energy: int
@@ -36,27 +34,23 @@ class _CosetProfile:
     at_zero: int
     index: CosetIndex = field(repr=False)
 
-    @cached_property
-    def counts(self) -> np.ndarray:
-        return self.index.spread(self.per_coset, self.at_zero)
-
 
 @dataclass(eq=False)
 class EnergyProfile(_CosetProfile):
-    """counts[lam] = number of m-tuples of subgroup elements summing to lam;
-    energy = sum of counts^2 = number of 2m-tuples with equal half sums."""
+    """The count at lam is the number of m-tuples of subgroup elements summing
+    to lam; energy = number of 2m-tuples with equal half sums."""
 
     m: int
 
 
 class IntervalProductProfile(_CosetProfile):
-    """counts[lam] = number of (n, h) in interval x subgroup with n*h = lam;
-    energy = sum of counts^2 = number of solutions of n1*h1 = n2*h2."""
+    """The count at lam is the number of (n, h) in interval x subgroup with
+    n*h = lam; energy = number of solutions of n1*h1 = n2*h2."""
 
 
 class DifferenceProfile(_CosetProfile):
-    """counts[d] = number of ordered pairs (h1, h2) of subgroup elements with
-    h1 - h2 = d; energy = sum of counts^2 = the m = 2 additive energy T_2."""
+    """The count at d is the number of ordered pairs (h1, h2) of subgroup
+    elements with h1 - h2 = d; energy = the m = 2 additive energy T_2."""
 
 
 def _exact_square_sum(counts: np.ndarray, int64_safe: bool) -> int:
@@ -178,26 +172,3 @@ def j_count(interval: Interval, sub: Subgroup) -> IntervalProductProfile:
     at_zero = order * (res.size - nonzero.size)
     energy = at_zero * at_zero + order * _exact_square_sum(per_coset, res.size**2 < 2**62)
     return IntervalProductProfile(p, energy, per_coset, at_zero, index)
-
-
-def brute_force_T(sub: Subgroup, m: int, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
-    """Oracle: test the equal-half-sums congruence on every 2m-tuple.
-
-    Enumerates all H^m half-tuple sums with plain Python arithmetic, then
-    counts equal pairs, so every one of the H^{2m} tuples is checked.
-    Only meant for tests; guarded by the tuple budget.
-    """
-    if m < 1:
-        raise InputError(f"fold count must be >= 1, got {m}")
-    p, order = sub.p, sub.order
-    if order ** (2 * m) > budget:
-        raise ResourceError(f"H^(2m) = {order}^{2 * m} exceeds the tuple budget {budget}")
-    elems = [int(h) for h in sub.elements]
-    sums = np.array(
-        [sum(t) % p for t in itertools.product(elems, repeat=m)], dtype=np.int64
-    )
-    total = 0
-    step = 4096
-    for i in range(0, sums.shape[0], step):
-        total += int(np.sum(sums[i : i + step, None] == sums[None, :]))
-    return total

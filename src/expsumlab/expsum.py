@@ -2,12 +2,12 @@
 
 S_a is constant on the multiplicative cosets of the subgroup, so the full
 table is the list of Gaussian periods eta_j = sum over i of e(g^(j+iM)/p),
-one per coset, read off the coset index (g a primitive root, M = (p-1)/H)
-and spread to every residue.  Each phase e(x/p) is the product of two
-entries of tables with about sqrt(p) entries each, and only half the power
-table is visited: for odd H the periods of the second half of the cosets
-are the exact conjugates of the first, for even H every period is exactly
-real.  So |S_-a| = |S_a| holds exactly, each phase is within
+one per coset, read off the coset index (g a primitive root, M = (p-1)/H):
+S_a is the period of the coset of a, and S_0 = H.  Each phase e(x/p) is the
+product of two entries of tables with about sqrt(p) entries each, and only
+half the power table is visited: for odd H the periods of the second half
+of the cosets are the exact conjugates of the first, for even H every
+period is exactly real.  So |S_-a| = |S_a| holds exactly, each phase is within
 PHASE_ERROR * 2^-53 of e(x/p) (derived in energy.energy_via_moments), and
 every table lies within 1e-6 * H of a DFT of the subgroup indicator."""
 
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -39,28 +38,20 @@ class Interval:
 
     start: int = 0
     length: int = 1
-    avoids_zero: bool = False
-
-    def contains_zero(self, p: int) -> bool:
-        return (-(self.start + 1)) % p < self.length
 
     def residues(self, p: int) -> np.ndarray:
         if not 1 <= self.length <= p:
             raise InputError(f"interval length must be in [1, p], got {self.length}")
-        if self.avoids_zero and self.contains_zero(p):
-            raise InputError("interval marked zero-free but contains 0 mod p")
         return (self.start % p + 1 + np.arange(self.length, dtype=np.int64)) % p
 
 
 @dataclass(eq=False)
 class SumTable:
-    """|S_a| for every residue a, where S_a = sum over subgroup of e(a*x/p).
+    """S_a = sum over subgroup of e(a*x/p) for every a, one value per coset.
 
     eta[j] is the Gaussian period S_(g^j) of coset j of the coset index and
-    coset_magnitudes[j] = |eta_j| the common magnitude on that coset.
-    magnitudes and values spread them to every residue on first use, so the
-    magnitudes are exactly constant on cosets and magnitudes[0] is exactly
-    the subgroup order.
+    coset_magnitudes[j] = |eta_j| the common magnitude on that coset; S_a is
+    eta[index.labels[a]] for a != 0, and S_0 is the subgroup order.
     """
 
     p: int
@@ -69,20 +60,6 @@ class SumTable:
     eta: np.ndarray
     index: CosetIndex = field(repr=False)
     strategy = "direct"  # one sum per coset; not a field
-
-    @cached_property
-    def magnitudes(self) -> np.ndarray:
-        return self.index.spread(self.coset_magnitudes, float(self.order))
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self.index.spread(self.eta, complex(self.order))
-
-    def parseval_defect(self) -> float:
-        """Relative gap between sum of squared magnitudes and p * order."""
-        total = float(np.sum(self.magnitudes.astype(np.float64) ** 2))
-        target = float(self.p) * self.order
-        return abs(total - target) / target
 
 
 def single_sum(a: int, sub: Subgroup) -> complex:
@@ -103,7 +80,7 @@ def phase_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
-    """The full table of |S_a| for a = 0..p-1.
+    """The table of S_a for a = 0..p-1, as one Gaussian period per coset.
 
     The Gaussian period eta_j = S_(g^j) is the sum of column j of e(g^k/p)
     laid out as an H x M matrix, accumulated a block at a time from the two
@@ -161,26 +138,15 @@ def interval_subgroup_sum(
     interval: Interval,
     sub: Subgroup,
     table: SumTable | None = None,
-    method: str | None = None,
 ) -> float:
-    """sum over n in the interval of |S_{a*n}|.
-
-    method "table" reuses a SumTable lookup; "direct" re-evaluates each inner
-    sum with single_sum (the independent route used by tests).  Default:
-    "table" when a table is supplied, else "direct".
-    """
+    """sum over n in the interval of |S_{a*n}|, read off the sum table (built
+    when none is given)."""
     p = sub.p
     a = int(a) % p
     if a == 0:
         raise InputError("a must be nonzero mod p")
     res = interval.residues(p)
-    if method is None:
-        method = "table" if table is not None else "direct"
-    if method == "table":
-        if table is None:
-            table = all_sums(sub)
-        mags = table.index.spread(table.coset_magnitudes, float(table.order), (a * res) % p)
-        return float(np.sum(mags))
-    if method == "direct":
-        return math.fsum(abs(single_sum((a * int(n)) % p, sub)) for n in res)
-    raise InputError(f"unknown method {method!r}")
+    if table is None:
+        table = all_sums(sub)
+    mags = table.index.spread(table.coset_magnitudes, float(table.order), (a * res) % p)
+    return float(np.sum(mags))

@@ -114,17 +114,6 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
-def mod_pow(b: int, e: int, p: int) -> int:
-    """b^e mod p for a residue 0 <= b < p and exponent e >= 0."""
-    if p < 1:
-        raise InputError(f"modulus must be positive, got {p}")
-    if not 0 <= b < p:
-        raise InputError(f"base must be a residue in [0, {p}), got {b}")
-    if e < 0:
-        raise InputError(f"exponent must be non-negative, got {e}")
-    return pow(b, e, p)
-
-
 @dataclass(frozen=True)
 class PrimeModulus:
     """An odd prime p below 2^62 together with the factorization of p - 1."""

@@ -368,7 +368,9 @@ def build_trace(
     """Run the full three-stage cascade for (p, subgroup, a).
 
     Defaults: a is the smallest residue attaining max |S_a|; the sum table
-    and the 2- and 3-fold representation profiles are computed on demand.
+    and the 2- and 3-fold representation profiles are computed on demand (r3
+    from r2).  For even H, -1 lies in the subgroup, so the stage-3
+    difference counts are r2 itself.
     Full-group and |S_a| <= 1 cases are returned with the degenerate flag
     set and no assertions.  A stage whose values all fall below its floor
     raises EmptyTraceError.
@@ -389,9 +391,9 @@ def build_trace(
         return _degenerate(sub, a, delta, "full group: every nonzero sum has magnitude 1")
     if mag_a <= 1.0:
         return _degenerate(sub, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
+    if r2 is None:
+        r2 = representation_counts(sub, 2)
     if r3 is None:
-        if r2 is None:
-            r2 = representation_counts(sub, 2)
         r3 = representation_counts(sub, 3, r2)  # one more fold from r_2
     t3 = r3.energy
 
@@ -493,7 +495,7 @@ def build_trace(
     w = H * _pair_sums(xc, yc, index.cosets)
     scale3 = float(nx) * float(ny)
     v = _slots(scale3, np.abs(_correlate(w, np.roll(table.eta, -shift))))
-    rdiff = difference_counts(sub)
+    rdiff = r2 if H % 2 == 0 else difference_counts(sub)
     mults2 = _slots(rdiff.at_zero, H * rdiff.per_coset)
     total3 = float(np.sum(mults2 * v))
     checks.append(
@@ -527,8 +529,6 @@ def build_trace(
         raise EmptyTraceError("stage-3 bucket holds only the zero residue")
     nz = H * zc.size
     g3 = st3.weight
-    if r2 is None:  # r3 was passed in without its r2
-        r2 = representation_counts(sub, 2)
     checks.append(check_energy_cardinality(nz, g3, st3.delta, st2.delta, r2.energy, "difference"))
 
     ts_spectral = H * float(np.sum(v[1 + zc]))

@@ -11,8 +11,6 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .field import PrimeModulus, primitive_root
 
-# Above this the dense 0/1 indicator (one byte per residue) is not allocated.
-DENSE_INDICATOR_LIMIT = 10**8
 # Largest subgroup order whose elements are listed (8 bytes each, plus a
 # same-sized temporary while they are sorted).
 ELEMENT_LIMIT = 10**7
@@ -77,10 +75,9 @@ class CosetIndex:
         """The residues of the given cosets, sorted."""
         return np.sort(self.reps[cosets, None] * self.steps % self.p, axis=None)
 
-    def spread(self, per_coset: np.ndarray, at_zero, residues: np.ndarray | None = None) -> np.ndarray:
-        """per_coset[j] on coset j and at_zero at 0, at every residue or at `residues`."""
-        labels = self.labels if residues is None else self.labels[residues]
-        return np.append(per_coset, at_zero)[labels]
+    def spread(self, per_coset: np.ndarray, at_zero, residues: np.ndarray) -> np.ndarray:
+        """The value at each of `residues`: per_coset[j] on coset j, at_zero at 0."""
+        return np.append(per_coset, at_zero)[self.labels[residues]]
 
 
 def _geometric(g: int, n: int, p: int) -> np.ndarray:
@@ -101,22 +98,20 @@ def _geometric(g: int, n: int, p: int) -> np.ndarray:
 class Subgroup:
     """The unique multiplicative subgroup of order `order` dividing p - 1.
 
-    `elements` is the sorted list of residues; `indicator` is a dense 0/1
-    array of length p (None for very large p).  Both views are immutable
-    after construction and safe to share across workers; the coset index is
-    built on first use and kept.
+    `elements` is the sorted list of its H residues, immutable after
+    construction and safe to share across workers; nothing of length p is
+    built with it.  The coset index is built on first use and kept.
     """
 
     p: int
     order: int
     generator: int
     elements: np.ndarray
-    indicator: np.ndarray | None
     _index: CosetIndex | None = field(default=None, init=False, repr=False)
-
-    def __contains__(self, x: int) -> bool:
-        x = int(x) % self.p
-        return x != 0 and pow(x, self.order, self.p) == 1
+    # Not a field: perfbench/layers.py:128 reads it to count a subgroup's dense
+    # bytes, and None counts none.  It goes when in-program metrics replace
+    # that tracer.
+    indicator = None
 
     def coset_index(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> CosetIndex:
         """The coset index, built on first use once p is within dense_limit."""
@@ -143,8 +138,4 @@ def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
     g = pow(primitive_root(pm), (p - 1) // order, p)
     assert pow(g, order, p) == 1, "generator does not have the requested order"
     elements = np.sort(_geometric(g, order, p))
-    indicator = None
-    if p <= DENSE_INDICATOR_LIMIT:
-        indicator = np.zeros(p, dtype=np.uint8)
-        indicator[elements] = 1
-    return Subgroup(p, order, g, elements, indicator)
+    return Subgroup(p, order, g, elements)

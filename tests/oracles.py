@@ -3,7 +3,7 @@
 Everything here is deliberately naive: plain Python loops, cmath phases,
 literal tuple enumeration, and for the mid-sized cascade numpy over every
 residue.  These implementations never share code with the package paths
-they check.
+they check; the one exception, `spread`, is marked as such.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ import math
 from collections import Counter, defaultdict
 
 import numpy as np
+
+from expsumlab.errors import InputError, ResourceError
+
+DEFAULT_TUPLE_BUDGET = 10**8
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -41,6 +45,28 @@ def phase(k: int, p: int) -> complex:
 
 def subgroup_sum(a: int, elements, p: int) -> complex:
     return sum(phase(a * int(x), p) for x in elements)
+
+
+def indicator(sub) -> np.ndarray:
+    """The 0/1 indicator of the subgroup over all p residues, from its elements alone."""
+    out = np.zeros(sub.p, dtype=np.int64)
+    out[np.asarray(sub.elements, dtype=np.int64)] = 1
+    return out
+
+
+def spread(index, per_coset, at_zero) -> np.ndarray:
+    """per_coset[j] at every residue of coset j of the index and at_zero at 0.
+
+    Not an oracle: a length-p view of values the package computed once per
+    coset, read through the package's own coset labels, so that tests can
+    compare them residue by residue with the oracles here."""
+    return np.append(per_coset, at_zero)[index.labels]
+
+
+def parseval_defect(magnitudes, p: int, order: int) -> float:
+    """Relative gap between the sum over all p residues of |S_a|^2 and p * H."""
+    total = float(np.sum(np.asarray(magnitudes, dtype=np.float64) ** 2))
+    return abs(total - p * order) / (p * order)
 
 
 def quadruple_loop_j(residues, elements, p: int) -> int:
@@ -216,3 +242,26 @@ def tuple_count_T(elements, p: int, m: int) -> int:
     """Literal 2m-tuple count via a Counter over m-tuple sums."""
     sums = Counter(sum(t) % p for t in itertools.product(elements, repeat=m))
     return sum(v * v for v in sums.values())
+
+
+def brute_force_T(sub, m: int, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
+    """Test the equal-half-sums congruence on every 2m-tuple.
+
+    Enumerates all H^m half-tuple sums with plain Python arithmetic, then
+    counts equal pairs, so every one of the H^{2m} tuples is checked.
+    Guarded by the tuple budget.
+    """
+    if m < 1:
+        raise InputError(f"fold count must be >= 1, got {m}")
+    p, order = sub.p, sub.order
+    if order ** (2 * m) > budget:
+        raise ResourceError(f"H^(2m) = {order}^{2 * m} exceeds the tuple budget {budget}")
+    elems = [int(h) for h in sub.elements]
+    sums = np.array(
+        [sum(t) % p for t in itertools.product(elems, repeat=m)], dtype=np.int64
+    )
+    total = 0
+    step = 4096
+    for i in range(0, sums.shape[0], step):
+        total += int(np.sum(sums[i : i + step, None] == sums[None, :]))
+    return total

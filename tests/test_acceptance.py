@@ -18,7 +18,6 @@ import pytest
 from expsumlab import (
     Interval,
     all_sums,
-    brute_force_T,
     build_trace,
     divisors,
     energy_via_moments,
@@ -30,7 +29,7 @@ from expsumlab import (
 )
 from expsumlab.bounds import exponent_identity_suite, thm1_bound
 from expsumlab.cli import ScanConfig, run_scan
-from oracles import quadruple_loop_j, tuple_level_trace
+from oracles import brute_force_T, parseval_defect, quadruple_loop_j, spread, tuple_level_trace
 
 
 @contextmanager
@@ -64,16 +63,19 @@ def test_criterion_2_parseval():
         for p in (13, 101, 257, 1009):
             for h in divisors(p - 1):
                 table = all_sums(subgroup_of_order(p, h))
-                assert table.parseval_defect() < 1e-6, (p, h)
+                mags = spread(table.index, table.coset_magnitudes, h)
+                assert parseval_defect(mags, p, h) < 1e-6, (p, h)
 
 
 def test_criterion_3_complete_and_gauss_cases():
     with criterion(3, "complete-sum and half-order Gauss identities", 5.0):
         for p in (13, 101, 1009):
             full = all_sums(subgroup_of_order(p, p - 1))
-            assert float(np.max(np.abs(full.magnitudes[1:] - 1.0))) < 1e-9, p
+            mags = spread(full.index, full.coset_magnitudes, p - 1)
+            assert float(np.max(np.abs(mags[1:] - 1.0))) < 1e-9, p
             half = all_sums(subgroup_of_order(p, (p - 1) // 2))
-            dev = np.abs(np.abs(2.0 * half.values[1:] + 1.0) - math.sqrt(p))
+            values = spread(half.index, half.eta, half.order)
+            dev = np.abs(np.abs(2.0 * values[1:] + 1.0) - math.sqrt(p))
             assert float(dev.max()) < 1e-6, p
 
 

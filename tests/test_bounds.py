@@ -11,15 +11,11 @@ from expsumlab.bounds import (
     BoundParams,
     exponent_identity_suite,
     gamma,
-    lemma_bounds,
-    make_report,
-    product_count_bound,
     t2_energy_bound,
     t3_energy_bound,
     thm1_bound,
     thm1_in_range,
     thm2_bound,
-    thm2_in_range,
     thm3_bound,
     trilinear_bound,
 )
@@ -90,7 +86,6 @@ class TestClosedFormBounds:
         p, n, h = 10**8, 10, 10
         assert n * h**3 < p
         assert thm2_bound(p, n, h) >= n * h
-        assert thm2_in_range(p, h)
 
     def test_thm3_value(self):
         params = BoundParams.compute(101, 10, 10)
@@ -126,23 +121,10 @@ class TestClosedFormBounds:
 
 class TestLemmaBounds:
     def test_h2_log_entry(self):
-        vals = lemma_bounds(101, 10, 2)
-        assert vals.t3 == pytest.approx(16 * math.log(2), rel=1e-12)
+        assert t3_energy_bound(2) == pytest.approx(16 * math.log(2), rel=1e-12)
 
     def test_h_below_two_not_applicable(self):
-        vals = lemma_bounds(101, 10, 1)
-        assert vals.t2 is None and vals.t3 is None
-        assert vals.j > 0
-
-    def test_origin_flag_drops_h_squared(self):
-        full = product_count_bound(101, 10, 10)
-        trimmed = product_count_bound(101, 10, 10, from_origin=True)
-        assert full - trimmed == pytest.approx(100.0, rel=1e-12)
-
-    def test_all_positive(self):
-        vals = lemma_bounds(101, 10, 10)
-        assert vals.t2 > 0 and vals.t3 > 0 and vals.j > 0
-        assert vals.t2 == t2_energy_bound(10) and vals.t3 == t3_energy_bound(10)
+        assert t2_energy_bound(1) is None and t3_energy_bound(1) is None
 
 
 class TestTrilinearBound:
@@ -174,15 +156,3 @@ class TestIdentitySuite:
         # (1/4)*(2689/2880) + 1/72 must reduce to (1/4)*(2849/2880) exactly
         assert Fraction(1, 4) * Fraction(2689, 2880) + Fraction(1, 72) == Fraction(2849, 11520)
         assert 1 - Fraction(31, 2880) == Fraction(2849, 2880)
-
-
-class TestBoundReport:
-    def test_ratio_and_flags(self):
-        rep = make_report("thm1", 1009, 48, empirical=20.0, theoretical=40.0, trivial=48.0, in_range=True)
-        assert rep.ratio == pytest.approx(0.5, rel=1e-12)
-        assert rep.nontrivial
-        assert rep.in_range
-
-    def test_rejects_nonpositive_theoretical(self):
-        with pytest.raises(InputError):
-            make_report("x", 13, 3, 1.0, 0.0, 3.0, True)

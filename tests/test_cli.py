@@ -17,7 +17,7 @@ from expsumlab.cli import (
     main,
     run_scan,
 )
-from oracles import subgroup_sum
+from oracles import indicator, subgroup_sum
 
 
 def run_cli(*argv):
@@ -159,6 +159,33 @@ class TestTraceCommand:
         assert calls == {"representation_counts": 2, "j_count": 1}
         assert all(c["pass"] for c in json.loads(capsys.readouterr().out)["moment_checks"])
 
+    def test_even_order_stage3_reuses_r2(self, capsys, monkeypatch):
+        # for even H, -1 lies in H, so the stage-3 difference counts are r_2
+        calls = []
+        real = prooftrace.difference_counts
+
+        def counted(sub):
+            calls.append(sub.order)
+            return real(sub)
+
+        monkeypatch.setattr(prooftrace, "difference_counts", counted)
+        for p, h, expected in ((1009, 14, []), (13, 3, [3])):
+            calls.clear()
+            assert run_cli("trace", "--prime", str(p), "--order", str(h)) == EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            assert not doc["degenerate"] and calls == expected, (p, h)
+        assert run_cli("trace", "--prime", "1009", "--order", "14") == EXIT_OK
+        reused = capsys.readouterr().out
+
+        def with_difference_profile(sub, r2=None, r3=None, **kwargs):
+            # the difference profile in the place of r_2: stage 3 reads it as before
+            r3 = prooftrace.representation_counts(sub, 3)
+            return prooftrace.build_trace(sub, r2=real(sub), r3=r3, **kwargs)
+
+        monkeypatch.setattr(cli, "build_trace", with_difference_profile)
+        assert run_cli("trace", "--prime", "1009", "--order", "14") == EXIT_OK
+        assert capsys.readouterr().out == reused
+
     def test_huge_interval_start(self, capsys):
         huge = 99999999999999999999
         docs = []
@@ -267,7 +294,7 @@ class TestScanCommand:
         assert rows
         for r in rows:
             p, h = r["p"], r["H"]
-            ind = subgroup_of_order(p, h).indicator.astype(np.float64)
+            ind = indicator(subgroup_of_order(p, h)).astype(np.float64)
             fft_mags = np.abs(np.fft.fft(ind))
             assert abs(r["max_abs_sum"] - fft_mags[1:].max()) <= 1e-6 * h
             assert abs(fft_mags[r["a_star"]] - r["max_abs_sum"]) <= 1e-6 * h

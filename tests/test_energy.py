@@ -9,7 +9,6 @@ from expsumlab import (
     Interval,
     ResourceError,
     all_sums,
-    brute_force_T,
     difference_counts,
     divisors,
     energy_via_moments,
@@ -19,14 +18,19 @@ from expsumlab import (
     subgroup_of_order,
 )
 from expsumlab.expsum import PHASE_ERROR, phase_tables
-from oracles import quadruple_loop_j, tuple_count_T
+from oracles import brute_force_T, indicator, quadruple_loop_j, spread, tuple_count_T
+
+
+def counts(prof):
+    """The profile's count at every residue, spread from its per-coset counts."""
+    return spread(prof.index, prof.per_coset, prof.at_zero)
 
 
 class TestRepresentationCounts:
     def test_m1_is_indicator(self):
         sub = subgroup_of_order(13, 3)
         prof = representation_counts(sub, 1)
-        assert np.array_equal(prof.counts, sub.indicator.astype(np.int64))
+        assert np.array_equal(counts(prof), indicator(sub))
         assert prof.energy == 3
 
     def test_pair_subgroup_m2(self):
@@ -35,7 +39,7 @@ class TestRepresentationCounts:
         prof = representation_counts(sub, 2)
         expected = np.zeros(13, dtype=np.int64)
         expected[2], expected[0], expected[11] = 1, 2, 1
-        assert np.array_equal(prof.counts, expected)
+        assert np.array_equal(counts(prof), expected)
         assert prof.energy == 6
 
     def test_trivial_subgroup(self):
@@ -45,11 +49,12 @@ class TestRepresentationCounts:
     def test_count_sums_and_invariance(self, p, h, m):
         sub = subgroup_of_order(p, h)
         prof = representation_counts(sub, m)
-        assert int(prof.counts.sum()) == h**m
+        rm = counts(prof)
+        assert int(rm.sum()) == h**m
         # multiplicative invariance r_m(h * lam) = r_m(lam), all lam, all h
         lam = np.arange(p, dtype=np.int64)
         for x in sub.elements:
-            assert np.array_equal(prof.counts[(int(x) * lam) % p], prof.counts)
+            assert np.array_equal(rm[(int(x) * lam) % p], rm)
 
     def test_energy_bounds(self):
         sub = subgroup_of_order(101, 10)
@@ -69,10 +74,13 @@ class TestDifferenceCounts:
     def test_square_sum_is_t2(self, p, h):
         sub = subgroup_of_order(p, h)
         prof = difference_counts(sub)
-        rd = prof.counts
+        rd = counts(prof)
         assert int(rd.sum()) == h * h
         assert rd[0] == prof.at_zero == h
-        assert int(np.dot(rd, rd)) == prof.energy == representation_counts(sub, 2).energy
+        r2 = representation_counts(sub, 2)
+        assert int(np.dot(rd, rd)) == prof.energy == r2.energy
+        # -1 lies in a subgroup of even order, so h1 - h2 runs over the sums h1 + h2
+        assert np.array_equal(counts(r2), rd) == (h % 2 == 0)
 
 
 class TestMoments:
@@ -164,7 +172,7 @@ class TestJCount:
     def test_counts_sum(self):
         sub = subgroup_of_order(101, 10)
         prof = j_count(Interval(3, 17), sub)
-        assert int(prof.counts.sum()) == 17 * 10
+        assert int(counts(prof).sum()) == 17 * 10
         assert prof.energy >= 17 * 10
 
     def test_quadruple_loop_oracle(self):

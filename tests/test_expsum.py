@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -17,12 +18,22 @@ from expsumlab import (
     single_sum,
     subgroup_of_order,
 )
-from oracles import naive_dft, subgroup_sum
+from oracles import indicator, naive_dft, parseval_defect, spread, subgroup_sum
 
 
 def fft_sums(sub):
     """S_a for every a from numpy's FFT of the indicator: S_a = conj(fft)[a]."""
-    return np.conj(np.fft.fft(sub.indicator.astype(np.float64)))
+    return np.conj(np.fft.fft(indicator(sub).astype(np.float64)))
+
+
+def magnitudes(table):
+    """|S_a| at every residue a, spread from the table's coset magnitudes."""
+    return spread(table.index, table.coset_magnitudes, table.order)
+
+
+def values(table):
+    """S_a at every residue a, spread from the table's Gaussian periods."""
+    return spread(table.index, table.eta, table.order)
 
 
 def mp_magnitude(a, elements, p):
@@ -67,11 +78,11 @@ class TestDft:
         # the table is the prime-length DFT of the indicator, conjugated
         sub = subgroup_of_order(257, 16)
         table = all_sums(sub)
-        spectrum = np.fft.fft(sub.indicator.astype(np.complex128))
+        spectrum = np.fft.fft(indicator(sub).astype(np.complex128))
         for a in (0, 1, 100, 256):
             expected = complex(subgroup_sum(-a, sub.elements, 257))
             assert abs(spectrum[a] - expected) < 1e-9
-            assert abs(np.conj(table.values[a]) - expected) < 1e-9
+            assert abs(np.conj(values(table)[a]) - expected) < 1e-9
 
 
 class TestAllSums:
@@ -81,45 +92,45 @@ class TestAllSums:
         sub = subgroup_of_order(1009, 48)
         table = all_sums(sub)
         fft_mags = np.abs(fft_sums(sub))
-        mags = table.magnitudes if route == "direct" else fft_mags
+        mags = magnitudes(table) if route == "direct" else fft_mags
         assert mags[0] == 48.0
         assert np.all(mags <= 48 + 1e-9)
         assert abs(float(np.sum(mags**2)) - 1009 * 48) < 1e-6 * 1009 * 48
-        assert np.max(np.abs(table.magnitudes - fft_mags)) <= 1e-9 * 48
+        assert np.max(np.abs(magnitudes(table) - fft_mags)) <= 1e-9 * 48
 
     def test_full_group_all_ones(self):
         table = all_sums(subgroup_of_order(101, 100))
-        assert np.max(np.abs(table.magnitudes[1:] - 1.0)) < 1e-9
+        assert np.max(np.abs(magnitudes(table)[1:] - 1.0)) < 1e-9
 
     def test_distinct_magnitudes_bounded_by_coset_count(self):
         table = all_sums(subgroup_of_order(13, 3))
-        assert len(set(np.round(table.magnitudes[1:], 9))) <= 4
+        assert len(set(np.round(magnitudes(table)[1:], 9))) <= 4
 
     def test_coset_invariance(self):
         sub = subgroup_of_order(101, 10)
-        table = all_sums(sub)
+        mags = magnitudes(all_sums(sub))
         rng = np.random.default_rng(7)
         for _ in range(100):
             a = int(rng.integers(1, 101))
             h = int(rng.choice(sub.elements))
-            assert abs(table.magnitudes[a] - table.magnitudes[(a * h) % 101]) <= 1e-6 * 10
+            assert abs(mags[a] - mags[(a * h) % 101]) <= 1e-6 * 10
 
     @pytest.mark.parametrize("p,h", [(13, 3), (101, 10), (257, 16), (1009, 48), (12289, 4096)])
     def test_strategy_equivalence_every_a(self, p, h):
         # the per-coset table against the transform of the indicator, every a
         sub = subgroup_of_order(p, h)
         table = all_sums(sub)
-        assert np.max(np.abs(table.values - fft_sums(sub))) <= 1e-6 * h
-        assert np.max(np.abs(table.magnitudes - np.abs(fft_sums(sub)))) <= 1e-6 * h
+        assert np.max(np.abs(values(table) - fft_sums(sub))) <= 1e-6 * h
+        assert np.max(np.abs(magnitudes(table) - np.abs(fft_sums(sub)))) <= 1e-6 * h
         for a in (1, p // 2, p - 1):
-            assert abs(table.values[a] - subgroup_sum(a, sub.elements, p)) <= 1e-6 * h
+            assert abs(values(table)[a] - subgroup_sum(a, sub.elements, p)) <= 1e-6 * h
 
     def test_table_matches_single_sum(self):
         sub = subgroup_of_order(1009, 48)
-        table = all_sums(sub)
+        vals = values(all_sums(sub))
         rng = np.random.default_rng(11)
         for a in rng.integers(0, 1009, size=40):
-            assert abs(table.values[a] - single_sum(int(a), sub)) < 1e-9
+            assert abs(vals[a] - single_sum(int(a), sub)) < 1e-9
 
     def test_dense_limit(self):
         with pytest.raises(ResourceError):
@@ -136,7 +147,7 @@ class TestAllSums:
         for p in (13, 101, 1009):
             sub = subgroup_of_order(p, (p - 1) // 2)
             table = all_sums(sub)
-            dev = np.abs(np.abs(2.0 * table.values[1:] + 1.0) - math.sqrt(p))
+            dev = np.abs(np.abs(2.0 * values(table)[1:] + 1.0) - math.sqrt(p))
             assert float(dev.max()) < 1e-6
 
     @settings(max_examples=40)
@@ -144,7 +155,7 @@ class TestAllSums:
     def test_parseval_property(self, p, data):
         h = data.draw(st.sampled_from(divisors(p - 1)))
         table = all_sums(subgroup_of_order(p, h))
-        assert table.parseval_defect() < 1e-6
+        assert parseval_defect(magnitudes(table), p, h) < 1e-6
 
 
 class TestMaxSum:
@@ -182,12 +193,6 @@ class TestInterval:
         assert list(Interval(0, 3).residues(13)) == [1, 2, 3]
         assert list(Interval(11, 3).residues(13)) == [12, 0, 1]
 
-    def test_avoids_zero_flag(self):
-        assert not Interval(0, 12).contains_zero(13)
-        assert Interval(0, 13).contains_zero(13)
-        with pytest.raises(InputError):
-            Interval(11, 3, avoids_zero=True).residues(13)
-
     def test_huge_start_reduced_mod_p(self):
         huge = 99999999999999999999
         for p in (13, 101):
@@ -221,7 +226,7 @@ class TestIntervalSubgroupSum:
         sub = subgroup_of_order(101, 10)
         table = all_sums(sub)
         value = interval_subgroup_sum(1, Interval(0, 10), sub, table=table)
-        assert value == pytest.approx(float(np.sum(table.magnitudes[1:11])), abs=1e-9)
+        assert value == pytest.approx(float(np.sum(magnitudes(table)[1:11])), abs=1e-9)
 
     def test_table_and_direct_agree(self):
         sub = subgroup_of_order(101, 10)
@@ -229,5 +234,25 @@ class TestIntervalSubgroupSum:
         for a, start, length in [(1, 0, 10), (7, 50, 33), (100, 90, 20)]:
             iv = Interval(start, length)
             via_table = interval_subgroup_sum(a, iv, sub, table=table)
-            direct = interval_subgroup_sum(a, iv, sub, method="direct")
+            direct = math.fsum(abs(subgroup_sum(a * int(n), sub.elements, 101)) for n in iv.residues(101))
             assert abs(via_table - direct) <= 1e-5 * max(direct, 1.0)
+
+    def test_builds_its_table_when_none_is_given(self):
+        sub = subgroup_of_order(101, 10)
+        iv = Interval(7, 33)
+        assert interval_subgroup_sum(3, iv, sub) == interval_subgroup_sum(3, iv, sub, table=all_sums(sub))
+
+
+def test_max_sum_allocates_nothing_of_length_p():
+    """The sum maximum at p ~ 10^7 holds O(M + sqrt(p)) memory: no per-residue
+    array, and the coset labels (4p bytes) are never written."""
+    p, h = 9999991, 99
+    tracemalloc.start()
+    try:
+        sub = subgroup_of_order(p, h)
+        max_sum(sub)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * ((p - 1) // h) + 2**21
+    assert "labels" not in vars(sub.coset_index())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsumlab import InputError, PrimeModulus, divisors, factorize, is_prime, mod_pow, primitive_root
+from expsumlab import InputError, PrimeModulus, divisors, factorize, is_prime, primitive_root
 from oracles import trial_division_is_prime
 
 
@@ -67,22 +67,6 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1008)[-1] == 1008 and len(divisors(1008)) == 30
-
-
-def test_mod_pow_examples():
-    assert mod_pow(3, 3, 13) == 1
-    assert mod_pow(5, 0, 7) == 1
-    assert mod_pow(5, 1, 7) == 5
-    with pytest.raises(InputError):
-        mod_pow(7, 1, 7)
-    with pytest.raises(InputError):
-        mod_pow(1, -1, 7)
-
-
-@given(st.sampled_from([13, 101, 257, 1009, 4001, 65537]), st.data())
-def test_fermat_little_theorem(p, data):
-    b = data.draw(st.integers(min_value=1, max_value=p - 1))
-    assert mod_pow(b, p - 1, p) == 1
 
 
 def test_primitive_root_examples():

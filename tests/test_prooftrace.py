@@ -24,7 +24,7 @@ from expsumlab import (
     subgroup_of_order,
     trilinear_eval,
 )
-from oracles import residue_level_trace, subgroup_sum, tuple_level_trace
+from oracles import residue_level_trace, spread, subgroup_sum, tuple_level_trace
 from test_acceptance import TRACE_ORDERS
 
 
@@ -74,7 +74,9 @@ class TestDyadicStage:
         table = all_sums(sub)
         lam = np.arange(p, dtype=np.int64)
         r3 = representation_counts(sub, 3)
-        st = dyadic_stage(table.magnitudes[(a * lam) % p], r3.counts, 3.0, 0.5 * 3 * delta**3)
+        mags = spread(table.index, table.coset_magnitudes, 3)
+        counts = spread(r3.index, r3.per_coset, r3.at_zero)
+        st = dyadic_stage(mags[(a * lam) % p], counts, 3.0, 0.5 * 3 * delta**3)
         import itertools
 
         triples = [t for t in itertools.product([1, 3, 9], repeat=3)]
@@ -209,7 +211,7 @@ class TestBuildTrace:
         sub = subgroup_of_order(1009, 16)
         tr = build_trace(sub)
         r3 = representation_counts(sub, 3)
-        assert np.array_equal(tr.sets.x_weights, r3.counts[tr.sets.x])
+        assert np.array_equal(tr.sets.x_weights, spread(r3.index, r3.per_coset, r3.at_zero)[tr.sets.x])
 
     def test_zero_excluded_from_sets(self):
         tr = build_trace(subgroup_of_order(1009, 16))
