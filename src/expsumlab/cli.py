@@ -16,7 +16,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import bounds
@@ -33,7 +33,6 @@ from .expsum import (
 from .field import PrimeModulus, divisors, is_prime
 from .prooftrace import (
     DEFAULT_TRILINEAR_BUDGET,
-    EmptyTraceError,
     TraceResult,
     build_trace,
     moment_inequality_check,
@@ -77,6 +76,8 @@ class ScanConfig:
             raise InputError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
         if not 0 < self.alpha_lo <= self.alpha_hi <= 1:
             raise InputError("window must satisfy 0 < alpha_lo <= alpha_hi <= 1")
+        if self.interval_power is not None and not math.isfinite(self.interval_power):
+            raise InputError(f"interval power must be finite, got {self.interval_power}")
         if self.threads < 1:
             raise InputError("thread count must be >= 1")
         if self.fmt not in ("csv", "json"):
@@ -121,7 +122,8 @@ def _enumerate_cases(config: ScanConfig) -> list[tuple[int, int]]:
 def _resolve_interval(config_dict: dict, p: int) -> Interval | None:
     length = config_dict["interval_length"]
     if length is None and config_dict["interval_power"] is not None:
-        length = max(1, min(p, round(p ** config_dict["interval_power"])))
+        # a power of 1 already gives the whole field; capping it keeps p^power finite
+        length = max(1, round(p ** min(config_dict["interval_power"], 1.0)))
     if length is None:
         return None
     return Interval(start=config_dict["interval_start"], length=length)
@@ -268,17 +270,7 @@ def trace_document(trace: TraceResult, moment_checks=()) -> dict:
         "reason": trace.reason,
     }
     if trace.cascade is not None:
-        c = trace.cascade
-        doc["cascade"] = {
-            "delta": c.delta,
-            "delta1": c.delta1,
-            "delta2": c.delta2,
-            "delta3": c.delta3,
-            "i0": list(c.i0),
-            "delta1_meas": c.delta1_meas,
-            "delta2_meas": c.delta2_meas,
-            "delta3_meas": c.delta3_meas,
-        }
+        doc["cascade"] = asdict(trace.cascade)
     if trace.sets is not None:
         s = trace.sets
         doc["sets"] = {
@@ -323,12 +315,11 @@ def trace_document(trace: TraceResult, moment_checks=()) -> dict:
 
 
 def _prepare_sub(args):
-    pm = PrimeModulus.from_int(args.prime)
-    return pm, subgroup_of_order(pm, args.order)
+    return subgroup_of_order(PrimeModulus.from_int(args.prime), args.order)
 
 
 def cmd_sum(args) -> int:
-    _, sub = _prepare_sub(args)
+    sub = _prepare_sub(args)
     p, h = sub.p, sub.order
     if args.a is not None:
         a = args.a % p
@@ -346,7 +337,7 @@ def cmd_sum(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    _, sub = _prepare_sub(args)
+    sub = _prepare_sub(args)
     p, h = sub.p, sub.order
     if args.m not in (1, 2, 3):
         raise InputError(f"m must be 1, 2 or 3, got {args.m}")
@@ -370,7 +361,10 @@ def cmd_energy(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    moments = tuple(int(v) for v in args.m.split(",") if v) if args.m else ()
+    try:
+        moments = tuple(int(v) for v in args.m.split(",") if v)
+    except ValueError:
+        raise InputError(f"--m must be a comma list of integers, got {args.m!r}") from None
     config = ScanConfig(
         p_min=args.p_min,
         p_max=args.p_max,
@@ -407,7 +401,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    _, sub = _prepare_sub(args)
+    sub = _prepare_sub(args)
     table = all_sums(sub, dense_limit=args.dense_limit)
     interval = r2 = r3 = j_prof = None
     if args.interval_length is not None:
@@ -415,25 +409,9 @@ def cmd_trace(args) -> int:
         j_prof = j_count(interval, sub)
         r2 = representation_counts(sub, 2)
         r3 = representation_counts(sub, 3, r2)
-    a = args.a
-    try:
-        trace = build_trace(
-            sub, a=a, table=table, r2=r2, r3=r3, trilinear_budget=args.trilinear_budget
-        )
-    except EmptyTraceError as exc:
-        if a is None:
-            a, _ = max_sum(sub, table=table)
-        trace = TraceResult(
-            p=sub.p,
-            order=sub.order,
-            a=int(a),
-            degenerate=True,
-            reason=str(exc),
-            cascade=None,
-            sets=None,
-            checks=[],
-            reported={},
-        )
+    trace = build_trace(
+        sub, a=args.a, table=table, r2=r2, r3=r3, trilinear_budget=args.trilinear_budget
+    )
     moment_checks = []
     if interval is not None:
         for m, r_m in ((2, r2), (3, r3)):

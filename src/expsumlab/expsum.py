@@ -115,13 +115,13 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     return SumTable(p, order, np.abs(eta.real), eta, index)
 
 
-def max_sum(sub: Subgroup, table: SumTable | None = None, **table_kwargs) -> tuple[int, float]:
+def max_sum(sub: Subgroup, table: SumTable | None = None) -> tuple[int, float]:
     """(a*, max over a != 0 of |S_a|).  a* is the least member of the cosets
     whose magnitude is within 2 * period_error(H) of the maximum: every coset
     whose true |eta_j| attains the true maximum is among them, so a* does not
     depend on the last bits of the table."""
     if table is None:
-        table = all_sums(sub, **table_kwargs)
+        table = all_sums(sub)
     c = table.coset_magnitudes
     best = c.max()
     reps = table.index.reps[c >= best - 2 * period_error(sub.order)]

@@ -7,7 +7,10 @@ sums) and Z (nonzero differences), and asserts every inequality of the
 chain that is a theorem for the measured quantities (triangle inequality,
 discard mass, pigeonhole, Cauchy-Schwarz cardinality via exact energies,
 power-mean/Hoelder, and the final trilinear lower bound).  Steps that only
-hold up to implied constants are reported as ratios, never asserted.
+hold up to implied constants are reported as ratios, never asserted.  The
+three stages share one routine (_stage), and every outcome leaves
+build_trace as a TraceResult: a trace with no saving to show (the full
+group, |S_a| <= 1, or a stage whose bucket ends empty) is a degenerate one.
 
 Key engineering point: every value of the cascade is constant on the
 multiplicative cosets of the subgroup.  The inner magnitude of a triple
@@ -56,7 +59,9 @@ TRILINEAR_BLOCK = 2**16
 
 
 class EmptyTraceError(RuntimeError):
-    """Every value fell below the discard floor: the sum is too flat to trace."""
+    """A stage kept no value above its floor, or no nonzero residue in its
+    bucket: the sum is too flat to trace.  build_trace returns it as a
+    degenerate trace."""
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,6 @@ class StageResult:
     floor: float
     total_mass: float  # multiplicity-weighted mass before the discard
     retained_mass: float  # mass of values at or above the floor
-    bucket_mass: float
     nonempty_buckets: int
     bucket_cap: int  # ceil(log2(scale/floor)) + 1
 
@@ -117,7 +121,6 @@ class Cascade:
     the asserted inequalities use.
     """
 
-    a: int
     delta: float
     delta1: float
     delta2: float
@@ -195,8 +198,6 @@ def dyadic_stage(
     nbuckets = int(idx.max()) + 1
     mult_per = np.zeros(nbuckets, dtype=np.int64)
     np.add.at(mult_per, idx, kmults)
-    mass_per = np.zeros(nbuckets, dtype=np.float64)
-    np.add.at(mass_per, idx, kmags * kmults)
     scores = scale * np.power(2.0, -np.arange(nbuckets, dtype=np.float64)) * mult_per
     has_nonzero = np.zeros(nbuckets, dtype=bool)
     np.logical_or.at(has_nonzero, idx, kept_lam != 0)
@@ -215,7 +216,6 @@ def dyadic_stage(
         floor=float(floor),
         total_mass=total_mass,
         retained_mass=retained_mass,
-        bucket_mass=float(mass_per[i0]),
         nonempty_buckets=int(np.count_nonzero(mult_per)),
         bucket_cap=math.ceil(math.log2(scale / floor)) + 1,
     )
@@ -357,6 +357,44 @@ def _degenerate(sub: Subgroup, a: int, delta: float, reason: str) -> TraceResult
     )
 
 
+def _stage(
+    k, checks, H, values, mults, scale, floor, unit, mass, discard, prev_delta, energy, kind
+) -> tuple[StageResult, np.ndarray]:
+    """Stage k of the cascade on _slots arrays, appending its checks.
+
+    mass is (name, right side, note) of the lower bound on the stage's total
+    mass sum(mults * values); discard is (right side, note) of the bound on
+    the mass above the floor.  unit is |X| at stage 2, whose values are sums
+    over X, and 1 elsewhere: dyadic_stage buckets values / unit, and the
+    discard and pigeonhole masses are multiplied back by it.  prev_delta,
+    energy and kind go to the Cauchy-Schwarz cardinality check.  Returns the
+    stage and the cosets of its bucket; a bucket holding only the residue 0
+    raises EmptyTraceError, which build_trace returns as a degenerate trace.
+    """
+    name, rhs, note = mass
+    checks.append(_check_ge(f"stage{k}_{name}", float(np.sum(mults * values)), rhs, note=note))
+    st = dyadic_stage(values / unit, mults, scale, floor)
+    rhs, note = discard
+    checks.append(_check_ge(f"stage{k}_discard_mass", st.retained_mass * unit, rhs, note=note))
+    checks.append(
+        _check_ge(
+            f"stage{k}_pigeonhole",
+            scale * 2.0 ** (-st.i0) * st.weight * unit,
+            st.retained_mass * unit / st.nonempty_buckets,
+        )
+    )
+    checks.append(
+        _check_le(f"stage{k}_bucket_count", st.nonempty_buckets, st.bucket_cap, exact=True)
+    )
+    cosets = st.lambdas[st.lambdas != 0] - 1
+    if cosets.size == 0:
+        raise EmptyTraceError(f"stage-{k} bucket holds only the zero residue")
+    checks.append(
+        check_energy_cardinality(H * cosets.size, st.weight, st.delta, prev_delta, energy, kind)
+    )
+    return st, cosets
+
+
 def build_trace(
     sub: Subgroup,
     a: int | None = None,
@@ -371,9 +409,9 @@ def build_trace(
     and the 2- and 3-fold representation profiles are computed on demand (r3
     from r2).  For even H, -1 lies in the subgroup, so the stage-3
     difference counts are r2 itself.
-    Full-group and |S_a| <= 1 cases are returned with the degenerate flag
-    set and no assertions.  A stage whose values all fall below its floor
-    raises EmptyTraceError.
+    Every outcome is a TraceResult.  The full group, |S_a| <= 1 and a stage
+    that ends empty (its reason names the stage) come back with the
+    degenerate flag set, delta in reported and no assertions.
     """
     p, H = sub.p, sub.order
     if table is None:
@@ -383,14 +421,24 @@ def build_trace(
     a = int(a) % p
     if a == 0:
         raise InputError("a must be nonzero mod p")
-    index = table.index
-    shift = int(index.labels[a])  # a lies in coset `shift`
+    shift = int(table.index.labels[a])  # a lies in coset `shift`
     mag_a = float(table.coset_magnitudes[shift])
     delta = mag_a / H
     if H == p - 1:
         return _degenerate(sub, a, delta, "full group: every nonzero sum has magnitude 1")
     if mag_a <= 1.0:
         return _degenerate(sub, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
+    try:
+        return _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget)
+    except EmptyTraceError as exc:
+        return _degenerate(sub, a, delta, str(exc))
+
+
+def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
+    """The three stages of build_trace for a with |S_a| = mag_a > 1 in coset shift."""
+    p, H = sub.p, sub.order
+    index = table.index
+    delta = mag_a / H
     if r2 is None:
         r2 = representation_counts(sub, 2)
     if r3 is None:
@@ -404,37 +452,14 @@ def build_trace(
     mags_at = _slots(float(H), mags)
     mults3 = _slots(r3.at_zero, H * r3.per_coset)
 
-    # Stage 1: triples (x1,x2,x3), inner magnitude |S_{a*(x1+x2+x3)}|.
-    total1 = float(np.sum(mults3 * mags_at))
-    checks.append(
-        _check_ge("stage1_triangle_mass", total1, H * mag_a**3, note="mass >= H^4 * Delta^3")
+    # Stage 1: triples (x1,x2,x3), inner magnitude |S_{a*(x1+x2+x3)}|; xc: the cosets of X.
+    st1, xc = _stage(
+        1, checks, H, mags_at, mults3, float(H), 0.5 * H * delta**3, 1,
+        ("triangle_mass", H * mag_a**3, "mass >= H^4 * Delta^3"),
+        (0.5 * H * mag_a**3, "mass above floor >= H^4 * Delta^3 / 2"),
+        delta, t3, "triple-sum",
     )
-    st1 = dyadic_stage(mags_at, mults3, float(H), 0.5 * H * delta**3)
-    checks.append(
-        _check_ge(
-            "stage1_discard_mass",
-            st1.retained_mass,
-            0.5 * H * mag_a**3,
-            note="mass above floor >= H^4 * Delta^3 / 2",
-        )
-    )
-    checks.append(
-        _check_ge(
-            "stage1_pigeonhole",
-            H * 2.0 ** (-st1.i0) * st1.weight,
-            st1.retained_mass / st1.nonempty_buckets,
-        )
-    )
-    checks.append(
-        _check_le("stage1_bucket_count", st1.nonempty_buckets, st1.bucket_cap, exact=True)
-    )
-    xc = st1.lambdas[st1.lambdas != 0] - 1  # the cosets that make up X
-    if xc.size == 0:
-        raise EmptyTraceError("stage-1 bucket holds only the zero residue")
     nx = H * xc.size
-    g1 = st1.weight
-    checks.append(check_energy_cardinality(nx, g1, st1.delta, delta, t3, "triple-sum"))
-
     sx = mags[xc]
     sum_sx = H * float(np.sum(sx))
     sum_sx3 = H * float(np.sum(sx**3))
@@ -453,39 +478,13 @@ def build_trace(
     in_x = np.zeros(index.cosets)
     in_x[xc] = 1.0
     val2 = _slots(float(H * nx), H * _correlate(in_x, mags).real)
-    total2 = float(np.sum(mults3 * val2))
-    checks.append(
-        _check_ge(
-            "stage2_triangle_mass",
-            total2,
-            H * sum_sx3,
-            note="mass >= H * sum over X of |S_{ax}|^3",
-        )
+    st2, yc = _stage(
+        2, checks, H, val2, mults3, float(H), 0.5 * H * delta1_meas**3, nx,
+        ("triangle_mass", H * sum_sx3, "mass >= H * sum over X of |S_{ax}|^3"),
+        (0.5 * H**4 * nx * delta1_meas**3, None),
+        st1.delta, t3, "triple-sum",
     )
-    st2 = dyadic_stage(val2 / nx, mults3, float(H), 0.5 * H * delta1_meas**3)
-    checks.append(
-        _check_ge(
-            "stage2_discard_mass",
-            st2.retained_mass * nx,
-            0.5 * H**4 * nx * delta1_meas**3,
-        )
-    )
-    checks.append(
-        _check_ge(
-            "stage2_pigeonhole",
-            H * 2.0 ** (-st2.i0) * st2.weight * nx,
-            st2.retained_mass * nx / st2.nonempty_buckets,
-        )
-    )
-    checks.append(
-        _check_le("stage2_bucket_count", st2.nonempty_buckets, st2.bucket_cap, exact=True)
-    )
-    yc = st2.lambdas[st2.lambdas != 0] - 1
-    if yc.size == 0:
-        raise EmptyTraceError("stage-2 bucket holds only the zero residue")
     ny = H * yc.size
-    g2 = st2.weight
-    checks.append(check_energy_cardinality(ny, g2, st2.delta, st1.delta, t3, "triple-sum"))
     delta2_meas = float(np.sum(val2[1 + yc])) / (nx * ny)  # H * that sum over H * |X||Y|
 
     # Stage 3: pairs (z1,z2), value |sum over X x Y of e(a*x*y*(z1-z2))|,
@@ -497,39 +496,15 @@ def build_trace(
     v = _slots(scale3, np.abs(_correlate(w, np.roll(table.eta, -shift))))
     rdiff = r2 if H % 2 == 0 else difference_counts(sub)
     mults2 = _slots(rdiff.at_zero, H * rdiff.per_coset)
-    total3 = float(np.sum(mults2 * v))
-    checks.append(
-        _check_ge(
-            "stage3_cauchy_schwarz_mass",
-            total3,
-            (H * scale3 * delta2_meas) ** 2 / scale3,
-            note="mass >= H^2 |X||Y| delta2_meas^2",
-        )
+    st3, zc = _stage(
+        3, checks, H, v, mults2, scale3, 0.5 * scale3 * delta2_meas**2, 1,
+        ("cauchy_schwarz_mass", (H * scale3 * delta2_meas) ** 2 / scale3,
+         "mass >= H^2 |X||Y| delta2_meas^2"),
+        (0.5 * H * H * scale3 * delta2_meas**2, None),
+        st2.delta, r2.energy, "difference",
     )
-    st3 = dyadic_stage(v, mults2, scale3, 0.5 * scale3 * delta2_meas**2)
-    checks.append(
-        _check_ge(
-            "stage3_discard_mass",
-            st3.retained_mass,
-            0.5 * H * H * scale3 * delta2_meas**2,
-        )
-    )
-    checks.append(
-        _check_ge(
-            "stage3_pigeonhole",
-            scale3 * 2.0 ** (-st3.i0) * st3.weight,
-            st3.retained_mass / st3.nonempty_buckets,
-        )
-    )
-    checks.append(
-        _check_le("stage3_bucket_count", st3.nonempty_buckets, st3.bucket_cap, exact=True)
-    )
-    zc = st3.lambdas[st3.lambdas != 0] - 1
-    if zc.size == 0:
-        raise EmptyTraceError("stage-3 bucket holds only the zero residue")
     nz = H * zc.size
-    g3 = st3.weight
-    checks.append(check_energy_cardinality(nz, g3, st3.delta, st2.delta, r2.energy, "difference"))
+    g1, g2, g3 = st1.weight, st2.weight, st3.weight
 
     ts_spectral = H * float(np.sum(v[1 + zc]))
     delta3_meas = ts_spectral / (scale3 * nz)
@@ -542,33 +517,22 @@ def build_trace(
         )
     )
     x, y, z = index.members(xc), index.members(yc), index.members(zc)
-    tri_direct = None
     if nx * ny * nz <= trilinear_budget:
-        tri_direct = trilinear_eval(x, y, z, a, p, budget=trilinear_budget)
-        checks.append(
-            _check_close(
-                "trilinear_direct_agreement",
-                tri_direct,
-                ts_spectral,
-                note="direct per-z evaluation vs spectral stage-3 values",
-            )
-        )
-    elif nx * ny * zc.size <= trilinear_budget:
+        zs, times, name = z, 1, "trilinear_direct_agreement"
+        note = "direct per-z evaluation vs spectral stage-3 values"
+    else:
         # X is a union of cosets, so the inner X x Y sum is the same at every z of a coset
-        tri_coset = H * trilinear_eval(x, y, index.reps[zc], a, p, budget=trilinear_budget)
-        checks.append(
-            _check_close(
-                "trilinear_coset_agreement",
-                tri_coset,
-                ts_spectral,
-                note="direct evaluation at one z per coset, times H, vs spectral stage-3 values",
-            )
-        )
+        zs, times, name = index.reps[zc], H, "trilinear_coset_agreement"
+        note = "direct evaluation at one z per coset, times H, vs spectral stage-3 values"
+    tri_direct = None
+    if nx * ny * zs.size <= trilinear_budget:
+        tri = times * trilinear_eval(x, y, zs, a, p, budget=trilinear_budget)
+        checks.append(_check_close(name, tri, ts_spectral, note=note))
+        tri_direct = tri if times == 1 else None
     tri_bound = trilinear_bound(nx, ny, nz, p)
     measured = tri_direct if tri_direct is not None else ts_spectral
 
     cascade = Cascade(
-        a=a,
         delta=delta,
         delta1=st1.delta,
         delta2=st2.delta,

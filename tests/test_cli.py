@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from expsumlab import cli, prooftrace, subgroup_of_order
+from expsumlab import InputError, cli, prooftrace, subgroup_of_order
 from expsumlab.cli import (
     CSV_HEADER,
     EXIT_BAD_INPUT,
@@ -186,6 +187,19 @@ class TestTraceCommand:
         assert run_cli("trace", "--prime", "1009", "--order", "14") == EXIT_OK
         assert capsys.readouterr().out == reused
 
+    def test_empty_stage3_document(self, capsys):
+        # stage 3 of (36697, 22) ends empty: a is reduced mod p however it is given
+        docs = []
+        for extra in ((), ("--a", "37449"), ("--a", "-35945")):
+            assert run_cli("trace", "--prime", "36697", "--order", "22", *extra) == EXIT_OK
+            docs.append(capsys.readouterr().out)
+        assert docs[1] == docs[0] and docs[2] == docs[0]
+        doc = json.loads(docs[0])
+        assert doc["a"] == 752 and doc["degenerate"]
+        assert doc["reason"] == "stage-3 bucket holds only the zero residue"
+        assert "cascade" not in doc and doc["checks"] == []
+        assert doc["reported"]["delta"] > 0
+
     def test_huge_interval_start(self, capsys):
         huge = 99999999999999999999
         docs = []
@@ -287,6 +301,24 @@ class TestScanCommand:
         )
         for r in rows:
             assert r["N"] == round(r["p"] ** 0.5)
+
+    def test_bad_moment_list_refused(self, capsys):
+        assert run_cli("scan", "--p-min", "100", "--p-max", "110", "--m", "2,x") == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "--m" in err and "Traceback" not in err
+
+    def test_non_finite_interval_power_refused(self, capsys):
+        for power in ("nan", "inf", "1e400"):
+            argv = ["scan", "--p-min", "100", "--p-max", "110", "--interval-power", power]
+            assert run_cli(*argv) == EXIT_BAD_INPUT, power
+            err = capsys.readouterr().err
+            assert "interval power" in err and "Traceback" not in err
+        with pytest.raises(InputError):
+            ScanConfig(p_min=100, p_max=120, interval_power=float("nan"))
+
+    def test_interval_power_above_one_is_the_whole_field(self):
+        rows, _ = run_scan(ScanConfig(p_min=100, p_max=120, interval_power=1e300))
+        assert rows and all(r["N"] == r["p"] for r in rows)
 
     def test_transform_strategy_rows_close_to_direct(self):
         # every row's maximum against the transform of the subgroup indicator

@@ -225,11 +225,12 @@ class TestBuildTrace:
 
 
 def _trace_or_empty_stage(sub):
-    """(trace, None), or (None, k) when stage k leaves no nonzero residue."""
-    try:
-        return build_trace(sub), None
-    except EmptyTraceError as exc:
-        return None, int(re.search(r"stage-(\d)", str(exc)).group(1))
+    """(trace, None), or (trace, k) when stage k leaves no nonzero residue and
+    the trace is degenerate with the stage in its reason."""
+    tr = build_trace(sub)
+    if not tr.degenerate:
+        return tr, None
+    return tr, int(re.search(r"stage-(\d)", tr.reason).group(1))
 
 
 # every p < 240 and every order 2 <= H <= 8 below the full group
@@ -245,13 +246,12 @@ def test_tuple_level_oracle_sweep():
     for p, h in SWEEP:
         sub = subgroup_of_order(p, h)
         tr, empty = _trace_or_empty_stage(sub)
-        a = tr.a if tr is not None else max_sum(sub)[0]
-        oracle = tuple_level_trace(p, sub.elements, a)
+        oracle = tuple_level_trace(p, sub.elements, tr.a)
         assert empty == oracle["empty_stage"], (p, h)
-        if tr is None:
+        if empty is not None:
+            assert tr.cascade is None and tr.sets is None and not tr.checks, (p, h)
             continue
         traced += 1
-        assert not tr.degenerate, (p, h)
         assert [int(v) for v in tr.sets.x] == oracle["x"], (p, h)
         assert [int(v) for v in tr.sets.y] == oracle["y"], (p, h)
         assert [int(v) for v in tr.sets.z] == oracle["z"], (p, h)
@@ -283,8 +283,11 @@ def test_residue_level_oracle(p, h):
 
 def test_residue_level_oracle_empty_stage3():
     sub = subgroup_of_order(36697, 22)
-    assert _trace_or_empty_stage(sub)[1] == 3
-    assert residue_level_trace(36697, sub.elements, max_sum(sub)[0])["empty_stage"] == 3
+    tr, empty = _trace_or_empty_stage(sub)
+    assert empty == 3
+    assert tr.reason == "stage-3 bucket holds only the zero residue"
+    assert tr.reported == {"delta": max_sum(sub)[1] / 22}
+    assert residue_level_trace(36697, sub.elements, tr.a)["empty_stage"] == 3
 
 
 def test_trilinear_coset_check_above_literal_budget():
