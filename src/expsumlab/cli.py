@@ -19,6 +19,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
+# numpy's OpenBLAS starts a worker thread when numpy is imported, and it
+# busy-waits beside the main thread through the import and into the command.
+# Nothing in expsumlab calls BLAS (its one np.dot is on int64), so a CLI
+# process runs OpenBLAS on one thread unless the user has set the variable.
+# This must run before numpy is first imported: the package __init__ imports
+# nothing eagerly.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import bounds
 from .energy import energy_via_moments, j_count, moment_error_bound, representation_counts
 from .errors import InputError, ResourceError

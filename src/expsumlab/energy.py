@@ -120,14 +120,15 @@ def energy_via_moments(table: SumTable, m: int) -> float:
     cosets of |eta_j|^{2m}): the exact m-fold energy T_m up to float error.
 
     moment_error_bound(table, m) bounds that error, with u = 2^-53:
-    - each phase hi[q] * lo[r] of all_sums (x = qB + r, B = isqrt(p-1) + 1)
-      is within PHASE_ERROR = 29u of e(x/p): the two angles 2*pi*(qB mod p)/p
-      and 2*pi*r/p carry three roundings each (pi, the division by p, the
-      product by an integer) and add up to below 2*pi*(p + B - 2)/p <= 2.4*pi,
-      so 7.2*pi*u; the cosine and sine of each table entry lie within an
-      ulp, at most u, each (2*sqrt(2)*u for the two entries); and the complex
-      product of two entries of modulus 1 + O(u) adds at most 2*sqrt(2)*u:
-      28.3u plus terms of order u^2;
+    - each phase hi[q] * lo[r] of all_sums (x = qB + r with 0 <= x < p,
+      B = 2^k > isqrt(p-1), see expsum.phase_tables) is within
+      PHASE_ERROR = 29u of e(x/p): the two angles 2*pi*qB/p and 2*pi*r/p
+      carry three roundings each (pi, the division by p, the product by an
+      integer), and as only entries with qB < p exist they add up to exactly
+      2*pi*x/p < 2*pi, so 6*pi*u; the cosine and sine of each table entry lie
+      within an ulp, at most u, each (2*sqrt(2)*u for the two entries); and
+      the complex product of two entries of modulus 1 + O(u) adds at most
+      2*sqrt(2)*u: 24.5u plus terms of order u^2;
     - each period is a sum of H such phases added in any order
       (componentwise at most (H-1)u times H, so sqrt(2)*(H-1)*u*H), and its
       magnitude adds at most 2u*H: the table's c_j is within

@@ -71,12 +71,15 @@ def single_sum(a: int, sub: Subgroup) -> complex:
 
 
 def phase_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(B, hi, lo) with e(x/p) = hi[x // B] * lo[x % B] for 0 <= x < p:
-    hi[q] = e(qB mod p / p) and lo[r] = e(r/p), B = isqrt(p - 1) + 1 entries each."""
-    b = math.isqrt(p - 1) + 1
-    k = np.arange(b, dtype=np.int64)
+    """(B, hi, lo) with e(x/p) = hi[x >> k] * lo[x & (B - 1)] for 0 <= x < p,
+    where B = 2^k is the least power of two above isqrt(p - 1), so B^2 > p - 1:
+    hi[q] = e(qB/p) for q <= (p - 1) // B, each with qB < p and no reduction
+    mod p, and lo[r] = e(r/p) for r < B.  Both tables have at most 2 sqrt(p)
+    entries (39 KB and 64 KB at p = 10^7)."""
+    b = 1 << math.isqrt(p - 1).bit_length()
     turn = 2j * np.pi / p
-    return b, np.exp(turn * (k * b % p)), np.exp(turn * k)
+    starts = np.arange((p - 1) // b + 1, dtype=np.int64) * b
+    return b, np.exp(turn * starts), np.exp(turn * np.arange(b, dtype=np.int64))
 
 
 def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
@@ -84,10 +87,14 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
 
     The Gaussian period eta_j = S_(g^j) is the sum of column j of e(g^k/p)
     laid out as an H x M matrix, accumulated a block at a time from the two
-    phase tables.  -1 = g^((p-1)/2) halves the work: for odd H it is
-    g^(M/2) times a member of H, so coset j + M/2 is minus coset j and only
-    columns j < M/2 are summed; for even H it lies in H, so row i + H/2 is
-    minus row i and only rows i < H/2 are summed.
+    phase tables: each entry x of a block splits as x = qB + r by a shift and
+    a mask, as B is a power of two.  A block spans one row once the visited
+    columns number TABLE_BLOCK or more (at p near 10^7, every H up to about
+    300), and such a row is added to the periods as it is, with no reduction.
+    -1 = g^((p-1)/2) halves the work: for odd H it is g^(M/2) times a member
+    of H, so coset j + M/2 is minus coset j and only columns j < M/2 are
+    summed; for even H it lies in H, so row i + H/2 is minus row i and only
+    rows i < H/2 are summed.
     """
     p, order = sub.p, sub.order
     if p > dense_limit:
@@ -95,6 +102,7 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     index = sub.coset_index(dense_limit)
     m = index.cosets
     b, hi, lo = phase_tables(p)
+    shift, mask = b.bit_length() - 1, b - 1
     odd = order % 2 == 1
     eta = np.zeros(m // 2 if odd else m, dtype=np.complex128)
     # buffers reused by every block
@@ -102,11 +110,12 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     high, low = np.empty((2, TABLE_BLOCK), dtype=np.complex128)
     for cols, block in index.blocks(cols=m // 2) if odd else index.blocks(rows=order // 2):
         n, shape = block.size, block.shape
-        q = np.floor_divide(block, b, out=quo[:n].reshape(shape))
+        q = np.right_shift(block, shift, out=quo[:n].reshape(shape))
         z = np.take(hi, q, out=high[:n].reshape(shape), mode="clip")
-        r = np.subtract(block, np.multiply(q, b, out=q), out=block)
+        r = np.bitwise_and(block, mask, out=block)
         w = np.take(lo, r, out=low[:n].reshape(shape), mode="clip")
-        eta[cols] += np.multiply(z, w, out=z).sum(axis=0)
+        np.multiply(z, w, out=z)
+        eta[cols] += z[0] if shape[0] == 1 else z.sum(axis=0)
     if odd:
         # conjugate cosets share their magnitudes, so |S_-a| = |S_a| exactly
         eta = np.concatenate((eta, eta.conj()))

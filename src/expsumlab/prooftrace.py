@@ -50,7 +50,7 @@ from .expsum import (
     interval_subgroup_sum,
     max_sum,
 )
-from .subgroup import Subgroup
+from .subgroup import Subgroup, check_int64_products
 
 REL_TOL = 1e-6
 DEFAULT_TRILINEAR_BUDGET = 10**9
@@ -306,11 +306,13 @@ def trilinear_eval(
     of the spectral stage-3 values.  Memory: the 16p-byte table, the p-byte
     mark, 24 bytes per distinct product (U and G) and block buffers of
     TRILINEAR_BLOCK entries reused by every block.  The budget still counts
-    all |X|*|Y|*|Z| terms.
+    all |X|*|Y|*|Z| terms.  A p whose residue products overflow int64 is
+    refused (subgroup.check_int64_products).
     """
     x, y, z = (np.asarray(s, dtype=np.int64) for s in (x_set, y_set, z_set))
     if min(x.size, y.size, z.size) == 0:
         return 0.0
+    check_int64_products(p)
     if x.size * y.size * z.size > budget:
         raise ResourceError(
             f"trilinear evaluation needs {x.size * y.size * z.size} terms, budget {budget}"

@@ -3,6 +3,7 @@ discrete-log index of their cosets."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,6 +20,18 @@ DEFAULT_DENSE_LIMIT = 10**7
 # Power-table entries per block, written into buffers allocated once per call
 # and small enough to stay in cache: no block faults in fresh pages.
 TABLE_BLOCK = 2**14
+# Largest p - 1 whose square fits in int64.  The coset index and the literal
+# trilinear check multiply two residues in int64, which wraps above it.
+INT64_PRODUCT_LIMIT = math.isqrt(2**63 - 1)
+
+
+def check_int64_products(p: int) -> None:
+    """Refuse p when the product of two residues mod p can overflow int64."""
+    if p - 1 > INT64_PRODUCT_LIMIT:
+        raise ResourceError(
+            f"p = {p} exceeds the int64 limit: products of two residues wrap once "
+            f"p - 1 > {INT64_PRODUCT_LIMIT} = isqrt(2^63 - 1)"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,7 +98,7 @@ def _geometric(g: int, n: int, p: int) -> np.ndarray:
 
     Products of two residues are taken in int64 while they fit, otherwise
     in Python integers (p above 2^31.5); the result is int64 either way."""
-    fits = (p - 1) ** 2 < 2**63
+    fits = p - 1 <= INT64_PRODUCT_LIMIT
     out = np.ones(n, dtype=np.int64 if fits else object)
     size, step = 1, g % p
     while size < n:
@@ -114,11 +127,13 @@ class Subgroup:
     indicator = None
 
     def coset_index(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> CosetIndex:
-        """The coset index, built on first use once p is within dense_limit."""
+        """The coset index, built on first use once p is within dense_limit
+        and within the int64 limit of its residue products."""
         if self._index is None:
             p = self.p
             if p > dense_limit:
                 raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
+            check_int64_products(p)
             root = primitive_root(p)
             m = (p - 1) // self.order
             reps = _geometric(root, m, p)

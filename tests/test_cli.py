@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestSumCommand:
         # whose float magnitude happens to round highest
         assert run_cli("sum", "--prime", "9999991", "--order", "1") == EXIT_OK
         assert "(a* = 1) = " in capsys.readouterr().out
+
+    def test_residue_products_above_int64_refused(self, capsys):
+        # (p - 1)^2 >= 2^63: refused before the coset index is built, as its
+        # int64 products would wrap and give wrong periods
+        start = time.monotonic()
+        argv = ("sum", "--prime", "4000000007", "--order", "835771", "--dense-limit", "5000000000")
+        assert run_cli(*argv) == EXIT_BUDGET
+        assert time.monotonic() - start < 1.0
+        assert "int64" in capsys.readouterr().err
 
     def test_order_above_element_limit_refused(self, capsys):
         # 5 * 10^8 subgroup elements: refused before any is listed
@@ -379,3 +389,42 @@ class TestSubprocessInterface:
             text=True,
         )
         assert r.returncode == 3
+
+
+def run_python(code, **env):
+    """Run code in a fresh interpreter, with OPENBLAS_NUM_THREADS unset unless
+    given, and return its stdout split into words."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"} | env
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.split()
+
+
+# prints the thread count of the process, the variable and whether numpy is loaded
+REPORT = """
+import os, sys
+threads = [line.split()[1] for line in open("/proc/self/status") if line.startswith("Threads:")]
+print(*threads, os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+class TestProcessEnvironment:
+    def test_cli_process_runs_one_thread(self):
+        assert run_python("import expsumlab.cli" + REPORT) == ["1", "1", "True"]
+
+    def test_user_setting_wins(self):
+        words = run_python("import expsumlab.cli" + REPORT, OPENBLAS_NUM_THREADS="2")
+        assert words[1:] == ["2", "True"]
+
+    def test_package_import_leaves_environment_alone(self):
+        assert run_python("import expsumlab" + REPORT)[1:] == ["None", "False"]
+
+    def test_every_exported_name_resolves(self):
+        # a star import resolves every name of __all__, or raises
+        code = (
+            "from expsumlab import *\n"
+            "import expsumlab\n"
+            "print([n for n in expsumlab.__all__ if n not in globals()])"
+        )
+        assert run_python(code) == ["[]"]

@@ -18,6 +18,8 @@ from expsumlab import (
     single_sum,
     subgroup_of_order,
 )
+from expsumlab.expsum import period_error, phase_tables
+from expsumlab.subgroup import TABLE_BLOCK
 from oracles import indicator, naive_dft, parseval_defect, spread, subgroup_sum
 
 
@@ -150,12 +152,38 @@ class TestAllSums:
             dev = np.abs(np.abs(2.0 * values(table)[1:] + 1.0) - math.sqrt(p))
             assert float(dev.max()) < 1e-6
 
+    @pytest.mark.parametrize("h", [3, 6])
+    def test_single_row_blocks_against_fft(self, h):
+        # M/2 and M exceed TABLE_BLOCK, so at the production block size every
+        # block of the kernel is one row, added to the periods as it is
+        p = 1000003
+        sub = subgroup_of_order(p, h)
+        assert ((p - 1) // h) // (2 if h % 2 else 1) >= TABLE_BLOCK
+        table = all_sums(sub)
+        fft = fft_sums(sub)
+        fft_mags = np.abs(fft)
+        assert np.max(np.abs(values(table) - fft)) <= 1e-6 * h
+        assert np.max(np.abs(magnitudes(table) - fft_mags)) <= 1e-6 * h
+        a_star, best = max_sum(sub, table)
+        top = fft_mags[1:].max()
+        assert abs(best - top) <= 1e-6 * h
+        assert a_star == 1 + np.flatnonzero(fft_mags[1:] >= top - 2 * period_error(h))[0]
+
     @settings(max_examples=40)
     @given(st.sampled_from([13, 31, 61, 101, 181, 257]), st.data())
     def test_parseval_property(self, p, data):
         h = data.draw(st.sampled_from(divisors(p - 1)))
         table = all_sums(subgroup_of_order(p, h))
         assert parseval_defect(magnitudes(table), p, h) < 1e-6
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 1009, 9999991, 2**31 - 1])
+def test_phase_tables_split(p):
+    # B = 2^k > isqrt(p - 1), and every hi entry has qB < p: the premise of
+    # the phase error derivation in energy_via_moments
+    b, hi, lo = phase_tables(p)
+    assert b & (b - 1) == 0 and b > math.isqrt(p - 1)
+    assert lo.size == b and b * (hi.size - 1) <= p - 1 < b * hi.size
 
 
 class TestMaxSum:

@@ -124,6 +124,11 @@ class TestTrilinearEval:
         with pytest.raises(ResourceError):
             trilinear_eval(range(100), range(100), range(101), 1, 1009, budget=10**6)
 
+    def test_refused_above_int64_products(self):
+        # products of two residues mod p would wrap in int64
+        with pytest.raises(ResourceError, match="int64"):
+            trilinear_eval([1], [1], [1], 1, 4000000007)
+
     def test_matches_triple_loop(self):
         x, y, z = [1, 3, 9], [2, 5], [4, 7, 11]
         p, a = 13, 2

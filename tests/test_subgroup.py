@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from expsumlab import (
     InputError,
     Interval,
+    ResourceError,
     all_sums,
     difference_counts,
     divisors,
@@ -33,6 +34,32 @@ def test_subgroup_elements_above_int64_products():
     sub = subgroup_of_order(p, h)
     powers = sorted(pow(sub.generator, k, p) for k in range(h))
     assert [int(v) for v in sub.elements] == powers and len(set(powers)) == h
+
+
+def test_coset_index_refused_above_int64_products():
+    # (p - 1)^2 >= 2^63: the index's products g^(iM) * g^j would wrap in int64
+    for p, h in ((3037000507, 2), (4000000007, 2)):
+        sub = subgroup_of_order(p, h)
+        with pytest.raises(ResourceError, match="int64"):
+            sub.coset_index(5 * 10**9)
+        with pytest.raises(ResourceError, match="int64"):
+            all_sums(sub, dense_limit=5 * 10**9)
+        assert sub._index is None
+
+
+def test_coset_index_just_below_int64_products():
+    # the largest prime with (p - 1)^2 < 2^63 still builds its index; the next
+    # one, 3037000507, is refused above
+    p, h, lim = 3037000493, 4 * 492061, subgroup.INT64_PRODUCT_LIMIT
+    assert lim**2 < 2**63 <= (lim + 1) ** 2
+    assert p - 1 <= lim < 3037000507 - 1
+    index = subgroup_of_order(p, h).coset_index(5 * 10**9)
+    g, m = index.root, index.cosets
+    assert m == 1543
+    assert [int(v) for v in index.reps[-3:]] == [pow(g, j, p) for j in range(m - 3, m)]
+    assert [int(v) for v in index.steps[-3:]] == [pow(g, i * m, p) for i in range(h - 3, h)]
+    cols, block = next(index.blocks(rows=2))
+    assert [int(v) for v in block[1, -3:]] == [pow(g, m + j, p) for j in range(m - 3, m)]
 
 
 def test_order_must_divide():
