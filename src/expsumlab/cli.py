@@ -225,9 +225,11 @@ def run_scan(config: ScanConfig) -> tuple[list[dict], list[FitResult]]:
         "moments": tuple(config.moments),
     }
     work = [(p, h, cfg) for p, h in cases]
-    if config.threads > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            chunk = max(1, len(work) // (4 * config.threads))
+    # the pool starts all its workers at the first submit: no more than cases
+    workers = min(config.threads, len(work))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(work) // (4 * workers))
             rows = list(pool.map(_scan_case, work, chunksize=chunk))
     else:
         rows = [_scan_case(item) for item in work]

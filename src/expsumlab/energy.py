@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .expsum import Interval, SumTable, period_error
-from .subgroup import TABLE_BLOCK, CosetIndex, Subgroup
+from .subgroup import TABLE_BLOCK, CosetIndex, Subgroup, residue_grid
 
 # Budget guard: ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
@@ -64,19 +64,15 @@ def _sums_at_cosets(
 ) -> tuple[np.ndarray, int]:
     """(c, z) with c[j] = sum over h of f(g^j + sign*h) and z that sum at 0,
     for f = per_coset[j] on coset j and at_zero at 0: M*H + H label lookups,
-    a block at a time in buffers that every block reuses."""
+    a residue_grid block at a time."""
     index = sub.coset_index()
-    elems, values = sign * sub.elements, np.append(per_coset, at_zero)
+    values = np.append(per_coset, at_zero)
     points = np.concatenate(([0], index.reps))
-    sums = np.empty(points.size, dtype=np.int64)
-    rows = max(1, TABLE_BLOCK // sub.order)
-    buf = np.empty((rows, sub.order), dtype=np.int64)
-    lab = np.empty(buf.shape, dtype=index.labels.dtype)
-    for i in range(0, points.size, rows):
-        x = np.add(points[i : i + rows, None], elems, out=buf[: points.size - i])
-        np.remainder(x, sub.p, out=x)
-        np.take(values, np.take(index.labels, x, out=lab[: x.shape[0]]), out=x)
-        x.sum(axis=1, out=sums[i : i + rows])
+    sums = np.zeros(points.size, dtype=np.int64)
+    lab = np.empty(TABLE_BLOCK, dtype=index.labels.dtype)
+    for rows, _, x in residue_grid(np.add, points, sign * sub.elements, sub.p, TABLE_BLOCK):
+        np.take(values, np.take(index.labels, x, out=lab[: x.size].reshape(x.shape)), out=x)
+        sums[rows] += x.sum(axis=1)
     return sums[1:], int(sums[0])
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .subgroup import DEFAULT_DENSE_LIMIT, TABLE_BLOCK, CosetIndex, Subgroup
+from .subgroup import DEFAULT_DENSE_LIMIT, TABLE_BLOCK, CosetIndex, Subgroup, residue_grid
 
 # Bound, in units of u = 2^-53, on the error of one phase of the sum table;
 # derived in energy.energy_via_moments.
@@ -134,11 +134,8 @@ def max_sum(sub: Subgroup, table: SumTable | None = None) -> tuple[int, float]:
     c = table.coset_magnitudes
     best = c.max()
     reps = table.index.reps[c >= best - 2 * period_error(sub.order)]
-    rows = max(1, TABLE_BLOCK // sub.order)
-    a_star = min(
-        int((reps[i : i + rows, None] * sub.elements % sub.p).min())
-        for i in range(0, reps.size, rows)
-    )
+    grid = residue_grid(np.multiply, reps, sub.elements, sub.p, TABLE_BLOCK)
+    a_star = min(int(x.min()) for _, _, x in grid)
     return a_star, float(best)
 
 

@@ -1,8 +1,9 @@
 """Exact arithmetic in prime fields: primality, factorization, primitive roots.
 
 Moduli are capped at 2^62 so that products of two residues always fit in a
-128-bit intermediate (and comfortably inside numpy's int64 after one modular
-reduction at desk scale, p <= 10^8).
+128-bit intermediate.  They fit numpy's int64 only while p - 1 <= 3037000499
+= isqrt(2^63 - 1); subgroup.check_int64_products refuses the int64 layers
+above that (subgroup.INT64_PRODUCT_LIMIT).
 """
 
 from __future__ import annotations

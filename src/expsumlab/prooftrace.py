@@ -50,7 +50,7 @@ from .expsum import (
     interval_subgroup_sum,
     max_sum,
 )
-from .subgroup import Subgroup, check_int64_products
+from .subgroup import Subgroup, check_int64_products, residue_grid
 
 REL_TOL = 1e-6
 DEFAULT_TRILINEAR_BUDGET = 10**9
@@ -260,28 +260,9 @@ def _correlate(f: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _pair_sums(xc: np.ndarray, yc: np.ndarray, m: int) -> np.ndarray:
     """counts[c] = #{(i, j) in xc x yc : i + j = c mod m}, exact."""
     counts = np.zeros(m, dtype=np.int64)
-    rows = max(1, 2**20 // yc.size)
-    for i in range(0, xc.size, rows):
-        counts += np.bincount(((xc[i : i + rows, None] + yc) % m).ravel(), minlength=m)
+    for _, _, x in residue_grid(np.add, xc, yc, m, 2**20):
+        counts += np.bincount(x.ravel(), minlength=m)
     return counts
-
-
-def _product_blocks(r: np.ndarray, c: np.ndarray, p: int, buf: np.ndarray):
-    """(rows, block) pairs with block = r[rows, None] * c[cols] mod p, covering
-    every row and column in blocks of at most TRILINEAR_BLOCK entries, written
-    into buf (2 x TRILINEAR_BLOCK int64), which the next block overwrites."""
-    width = min(c.size, TRILINEAR_BLOCK)
-    height = max(1, TRILINEAR_BLOCK // width)
-    for j in range(0, c.size, width):
-        cols = c[j : j + width]
-        for i in range(0, r.size, height):
-            rows = r[i : i + height]
-            shape, n = (rows.size, cols.size), rows.size * cols.size
-            block = np.multiply(rows[:, None], cols, out=buf[0, :n].reshape(shape))
-            q = buf[1, :n].reshape(shape)
-            # x - (x // p) * p: numpy divides by a scalar faster than it takes a remainder
-            np.multiply(np.floor_divide(block, p, out=q), p, out=q)
-            yield slice(i, i + rows.size), np.subtract(block, q, out=block)
 
 
 def trilinear_eval(
@@ -318,19 +299,18 @@ def trilinear_eval(
             f"trilinear evaluation needs {x.size * y.size * z.size} terms, budget {budget}"
         )
     x, y, c = x % p, y % p, int(a) % p * (z % p) % p
-    buf = np.empty((2, TRILINEAR_BLOCK), dtype=np.int64)
     terms = np.empty(TRILINEAR_BLOCK, dtype=np.complex128)
 
     def sums(r: np.ndarray, col: np.ndarray, table: np.ndarray) -> np.ndarray:
         """out[i] = sum over j of table[r[i] * col[j] mod p]."""
         out = np.zeros(r.size, dtype=np.complex128)
-        for rows, w in _product_blocks(r, col, p, buf):
+        for rows, _, w in residue_grid(np.multiply, r, col, p, TRILINEAR_BLOCK):
             t = np.take(table, w, out=terms[: w.size].reshape(w.shape), mode="clip")
             out[rows] += t.sum(axis=1)
         return out
 
     mark = np.zeros(p, dtype=bool)
-    for _, w in _product_blocks(c, x, p, buf):
+    for _, _, w in residue_grid(np.multiply, c, x, p, TRILINEAR_BLOCK):
         mark[w] = True
     u = np.flatnonzero(mark)
     del mark  # before the table is built: the two never coexist

@@ -17,8 +17,8 @@ from .field import PrimeModulus, primitive_root
 ELEMENT_LIMIT = 10**7
 # Largest p for which length-p tables (coset index, sum table) are built.
 DEFAULT_DENSE_LIMIT = 10**7
-# Power-table entries per block, written into buffers allocated once per call
-# and small enough to stay in cache: no block faults in fresh pages.
+# Entries per residue_grid block of the power table, the energy folds and the
+# a* search: small enough to stay in cache, so no block faults in fresh pages.
 TABLE_BLOCK = 2**14
 # Largest p - 1 whose square fits in int64.  The coset index and the literal
 # trilinear check multiply two residues in int64, which wraps above it.
@@ -32,6 +32,32 @@ def check_int64_products(p: int) -> None:
             f"p = {p} exceeds the int64 limit: products of two residues wrap once "
             f"p - 1 > {INT64_PRODUCT_LIMIT} = isqrt(2^63 - 1)"
         )
+
+
+def residue_grid(op, r: np.ndarray, c: np.ndarray, n: int, block: int):
+    """(rows, cols, x) triples with x = op(r[rows, None], c[cols]) mod n, for
+    op np.multiply or np.add on int64 values whose results fit in int64.
+
+    Columns run outer and rows inner, in blocks of at most `block` entries
+    that tile r x c exactly once; every block is written into the same two
+    buffers, so the next block overwrites it.  Callers that keep a block
+    size keep the order in which their sums meet each entry."""
+    if r.size == 0 or c.size == 0:
+        return
+    width = min(c.size, block)
+    height = min(r.size, max(1, block // width))
+    buf, quo = np.empty((2, height * width), dtype=np.int64)
+    for j in range(0, c.size, width):
+        cols = slice(j, min(j + width, c.size))
+        for i in range(0, r.size, height):
+            rows = slice(i, min(i + height, r.size))
+            shape = (rows.stop - i, cols.stop - j)
+            x = op(r[rows, None], c[cols], out=buf[: shape[0] * shape[1]].reshape(shape))
+            q = quo[: x.size].reshape(shape)
+            # x - (x // n) * n: numpy's floor_divide by a scalar is several
+            # times faster than its remainder, and also lands in [0, n) for x < 0
+            np.multiply(np.floor_divide(x, n, out=q), n, out=q)
+            yield rows, cols, np.subtract(x, q, out=x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,24 +82,10 @@ class CosetIndex:
 
     def blocks(self, rows: int | None = None, cols: int | None = None):
         """(cols, block) pairs covering the first `rows` rows and `cols`
-        columns of the power table (all of them by default): columns `cols`
-        of consecutive rows, at most TABLE_BLOCK entries, in one buffer that
-        the next block overwrites."""
-        rows = self.order if rows is None else rows
-        cols = self.cosets if cols is None else cols
-        width = min(cols, TABLE_BLOCK)
-        height = max(1, TABLE_BLOCK // width)
-        buf, quo = np.empty((2, height, width), dtype=np.int64)
-        for j in range(0, cols, width):
-            reps = self.reps[j : min(j + width, cols)]
-            for i in range(0, rows, height):
-                steps = self.steps[i : min(i + height, rows)]
-                block, q = buf[: steps.size, : reps.size], quo[: steps.size, : reps.size]
-                np.multiply(steps[:, None], reps, out=block)
-                # x - (x // p) * p: numpy's floor_divide by a scalar is several
-                # times faster than its remainder
-                np.multiply(np.floor_divide(block, self.p, out=q), self.p, out=q)
-                yield slice(j, j + reps.size), np.subtract(block, q, out=block)
+        columns of the power table (all of them by default), in blocks of at
+        most TABLE_BLOCK entries from residue_grid."""
+        grid = residue_grid(np.multiply, self.steps[:rows], self.reps[:cols], self.p, TABLE_BLOCK)
+        return ((cs, block) for _, cs, block in grid)
 
     @cached_property
     def labels(self) -> np.ndarray:

@@ -294,6 +294,31 @@ class TestScanCommand:
         assert rows1 == rows2
         assert fits1 == fits2
 
+    def test_workers_capped_at_cases(self, monkeypatch):
+        # a process pool starts all of max_workers at its first submit, so a
+        # 2-case window asks for 2 workers however many threads are given;
+        # the fake maps serially and starts no process
+        asked = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        config = dict(p_min=131, p_max=131)
+        rows, fits = run_scan(ScanConfig(threads=500, **config))
+        assert asked == [2] and [(r["p"], r["H"]) for r in rows] == [(131, 5), (131, 10)]
+        assert (rows, fits) == run_scan(ScanConfig(threads=1, **config))
+
     def test_fit_positive_saving(self):
         rows, fits = run_scan(ScanConfig(p_min=500, p_max=900))
         overall = [f for f in fits if f.band == "all"]

@@ -139,6 +139,15 @@ class TestMomentErrorBound:
         assert round(moment) != t_2
         assert 0.5 < abs(Fraction(moment) - t_2) <= bound < 1e-10 * t_2
 
+    def test_bound_holds_above_a_million_cosets(self):
+        # M = 1000001 > 10^6 cosets: the powers are added by np.sum, not math.fsum
+        sub = subgroup_of_order(2000003, 2)
+        table = all_sums(sub)
+        assert table.coset_magnitudes.size == 1000001
+        for m, t_m in ((2, 6), (3, 20)):
+            moment, bound = energy_via_moments(table, m), moment_error_bound(table, m)
+            assert abs(Fraction(moment) - t_m) <= bound, m
+
 
 class TestBruteForce:
     def test_trivial_cases(self):

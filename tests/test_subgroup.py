@@ -98,6 +98,32 @@ def test_coset_index_examples():
     assert subgroup_of_order(7, 1).coset_index().cosets == 6
 
 
+@pytest.mark.parametrize("block", [1, 3, 64, 2**14])
+@pytest.mark.parametrize("op", [np.multiply, np.add])
+@pytest.mark.parametrize("rows,cols", [(1, 1), (5, 2), (2, 5), (7, 70), (70, 7), (130, 130), (2, 20000)])
+def test_residue_grid(block, op, rows, cols):
+    """Against the whole outer table mod n, with rows of both signs as the
+    sign = -1 folds of the energies have: columns outer, rows inner, at most
+    `block` entries a block, every entry in exactly one block."""
+    n = 1009
+    rng = np.random.default_rng(1000 * rows + cols)
+    r, c = rng.integers(-n + 1, n, rows), rng.integers(0, n, cols)
+    want = op.outer(r, c) % n
+    seen = np.zeros((rows, cols), dtype=np.int64)
+    starts = []
+    for rs, cs, x in subgroup.residue_grid(op, r, c, n, block):
+        assert x.size <= block and np.array_equal(x, want[rs, cs])
+        seen[rs, cs] += 1
+        starts.append((cs.start, rs.start))
+    assert np.all(seen == 1) and starts == sorted(starts)
+
+
+def test_residue_grid_empty():
+    full = np.arange(5, dtype=np.int64)
+    for r, c in ((full[:0], full), (full, full[:0]), (full[:0], full[:0])):
+        assert list(subgroup.residue_grid(np.multiply, r, c, 7, 3)) == []
+
+
 def index_cosets(index) -> list[set[int]]:
     """The members of each coset, read off the index's power-table blocks."""
     cosets = [set() for _ in range(index.cosets)]
