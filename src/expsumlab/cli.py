@@ -171,10 +171,8 @@ def _scan_case(args: tuple[int, int, dict]) -> dict:
             row["ratio2"] = s_int / row["thm2"]
             row["ratio3"] = s_int / row["thm3"]
             row["J"] = j_count(interval, sub).energy
-        prof = None
         for m in cfg["moments"]:
-            # continue the folds of the previous m where it is smaller
-            prof = representation_counts(sub, m, prof if prof is not None and prof.m <= m else None)
+            prof = representation_counts(table, m)
             row[f"T{m}"] = prof.energy
             moment, bound, agrees = _moment_check(table, m, prof.energy)
             if not agrees:
@@ -352,7 +350,7 @@ def cmd_energy(args) -> int:
     if args.m not in (1, 2, 3):
         raise InputError(f"m must be 1, 2 or 3, got {args.m}")
     table = all_sums(sub, dense_limit=args.dense_limit)
-    prof = representation_counts(sub, args.m)
+    prof = representation_counts(table, args.m)
     moment, bound, agrees = _moment_check(table, args.m, prof.energy)
     print(f"p = {p}  H = {h}  m = {args.m}")
     print(f"T_{args.m} = {prof.energy}")
@@ -417,8 +415,8 @@ def cmd_trace(args) -> int:
     if args.interval_length is not None:
         interval = Interval(start=args.interval_start or 0, length=args.interval_length)
         j_prof = j_count(interval, sub)
-        r2 = representation_counts(sub, 2)
-        r3 = representation_counts(sub, 3, r2)
+        r2 = representation_counts(table, 2)
+        r3 = representation_counts(table, 3)
     trace = build_trace(
         sub, a=args.a, table=table, r2=r2, r3=r3, trilinear_budget=args.trilinear_budget
     )

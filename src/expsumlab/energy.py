@@ -3,9 +3,13 @@ product-collision counts between an interval and a subgroup.
 
 Every count here is constant on the multiplicative cosets of the subgroup,
 so it is evaluated and kept once per coset of the coset index, plus once at
-0; nothing of length p is returned.  Everything is integer-exact; the
-counts run in int64 (values are guaranteed to fit whenever the H^{2m}
-overflow guard passes, with a big-int fallback for the final squared sums).
+0; nothing of length p is returned.  The additive counts come from the
+Gaussian periods of the sum table by one length-M correlation each, rounded
+under a derived error bound, and from folds over the coset labels where
+that bound does not certify the rounding; the product counts read the coset
+of each interval residue.  Everything is integer-exact; the counts run in
+int64 (values are guaranteed to fit whenever the H^{2m} overflow guard
+passes, with a big-int fallback for the final squared sums).
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ from .subgroup import TABLE_BLOCK, CosetIndex, Subgroup, residue_grid
 
 # Budget guard: ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
+# Bound, in units of u = 2^-53 per level of a power-of-two FFT, on one lag of
+# a padded correlation; derived in representation_counts.
+FFT_ERROR = 26
 
 
 @dataclass(eq=False)
@@ -60,55 +67,157 @@ def _exact_square_sum(counts: np.ndarray, int64_safe: bool) -> int:
 
 
 def _sums_at_cosets(
-    sub: Subgroup, per_coset: np.ndarray, at_zero: int, sign: int
+    index: CosetIndex, per_coset: np.ndarray, at_zero: int, sign: int
 ) -> tuple[np.ndarray, int]:
     """(c, z) with c[j] = sum over h of f(g^j + sign*h) and z that sum at 0,
     for f = per_coset[j] on coset j and at_zero at 0: M*H + H label lookups,
-    a residue_grid block at a time."""
-    index = sub.coset_index()
+    a residue_grid block at a time (steps are the subgroup's elements)."""
     values = np.append(per_coset, at_zero)
     points = np.concatenate(([0], index.reps))
     sums = np.zeros(points.size, dtype=np.int64)
     lab = np.empty(TABLE_BLOCK, dtype=index.labels.dtype)
-    for rows, _, x in residue_grid(np.add, points, sign * sub.elements, sub.p, TABLE_BLOCK):
+    for rows, _, x in residue_grid(np.add, points, sign * index.steps, index.p, TABLE_BLOCK):
         np.take(values, np.take(index.labels, x, out=lab[: x.size].reshape(x.shape)), out=x)
         sums[rows] += x.sum(axis=1)
     return sums[1:], int(sums[0])
 
 
-def representation_counts(
-    sub: Subgroup, m: int, base: EnergyProfile | None = None
-) -> EnergyProfile:
-    """m-fold additive representation counts r_m(lam) = sum over h of
-    r_(m-1)(lam - h), each fold evaluated once per coset.  The folds start
-    from base, a profile of sub with base.m <= m, when one is given (r_3 from
-    r_2 takes one fold, not two), else from r_1."""
+def _folds(index: CosetIndex, m: int, sign: int) -> tuple[np.ndarray, int]:
+    """The count profile by m - 1 folds of r_1, the indicator of coset 0 (the
+    subgroup itself): of the sums h_1 + ... + h_m for sign -1, and of the
+    differences h_1 - h_2 for sign 1 and m = 2."""
+    per_coset, at_zero = (np.arange(index.cosets) == 0).astype(np.int64), 0
+    for _ in range(m - 1):
+        per_coset, at_zero = _sums_at_cosets(index, per_coset, at_zero, sign)
+    return per_coset, at_zero
+
+
+def _padded_length(cosets: int) -> int:
+    """The least power of two at or above 2M - 1."""
+    return 1 << (2 * cosets - 2).bit_length()
+
+
+def correlation_error_bound(table: SumTable, m: int) -> float:
+    """Bound on the distance from the exact counts of every value that
+    representation_counts(table, m) rounds (for m = 2 also those of
+    difference_counts(table)); derived in representation_counts."""
+    p, order = table.p, table.order
+    u, d = 2.0**-53, period_error(order)
+    b = table.coset_magnitudes + d
+    bm = b**m
+    alpha = m * d * b ** (m - 1) + 3 * m * u * bm
+    norm_b, norm_bm = (math.sqrt(float(np.dot(v, v))) for v in (b, bm))
+    sum_bm = float(np.sum(bm))
+    s = norm_bm * norm_b  # bounds every lag
+    fft = 2 * FFT_ERROR * (math.log2(_padded_length(b.size)) + 1) * u * norm_bm * float(np.sum(b))
+    inputs = math.sqrt(float(np.dot(alpha, alpha))) * norm_b + d * sum_bm
+    per_coset = inputs + fft + 5 * u * s + 4 * u * float(order**m)
+    at_zero = float(np.sum(alpha)) + b.size * u * sum_bm + 4 * u * (order ** (m - 1) + sum_bm)
+    return max(per_coset, at_zero) / p * (1 + 1e-6)
+
+
+def _period_correlation(table: SumTable, f: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """The counts before rounding: (H^m + sum over j of f[j] * conj(eta[(j + k) mod M])) / p
+    for every k, and (H^(m-1) + sum of f) / p, the count at 0 over H."""
+    p, order, eta = table.p, table.order, table.eta
+    cosets, n = eta.size, _padded_length(eta.size)
+    # lag t of the zero-padded correlation is sum over j of f[j] * conj(eta[j + t]);
+    # cyclic lag k adds lags k and k - M, at t = k and t = n - M + k
+    corr = np.fft.ifft(np.conj(np.fft.fft(np.conj(f), n)) * np.fft.fft(np.conj(eta), n))
+    cyclic = corr[:cosets].real
+    cyclic[1:] += corr[n - cosets + 1 :].real
+    values = (float(order**m) + cyclic) / p
+    return values, (float(order ** (m - 1)) + float(np.sum(f.real))) / p
+
+
+def _profile(table: SumTable, f: np.ndarray, m: int, sign: int) -> tuple[np.ndarray, int]:
+    """The correlation of f with the periods, rounded where
+    correlation_error_bound(table, m) certifies it, else the label folds;
+    with the identities every count profile of m-fold sums satisfies."""
+    order = table.order
+    if correlation_error_bound(table, m) < 0.5:
+        values, zero = _period_correlation(table, f, m)
+        per_coset, at_zero = np.rint(values).astype(np.int64), order * round(zero)
+    else:
+        per_coset, at_zero = _folds(table.index, m, sign)
+    assert at_zero >= 0 and bool(np.all(per_coset >= 0)), "negative count"
+    assert at_zero + order * int(np.sum(per_coset)) == order**m, "counts do not add up to H^m"
+    return per_coset, at_zero
+
+
+def representation_counts(table: SumTable, m: int) -> EnergyProfile:
+    """m-fold additive representation counts r_m(lam), the number of m-tuples
+    of subgroup elements summing to lam, once per coset, from the periods.
+
+    On coset k of the coset index, r_m(g^k) = p^-1 * sum over a of S_a^m
+    e(-a g^k/p) = (H^m + sum over j of eta_j^m * conj(eta_(j+k mod M))) / p,
+    as S_a = eta_j on the H residues of coset j, and r_m(0) = (H^m + H *
+    sum over j of eta_j^m) / p.  That is H times the integer
+    (H^(m-1) + sum over j of eta_j^m) / p = r_(m-1)(-1), as r_m(0) = sum over
+    h of r_(m-1)(-h) (for the difference counts, (H + sum |eta_j|^2) / p = 1
+    by Parseval), so it is rounded before the product by H.  The sum over j
+    is one cyclic correlation, by FFT zero-padded to the least power of two
+    n >= 2M - 1, whatever the factors of M.  Every entry is rounded to the
+    nearest integer once correlation_error_bound(table, m) is below 1/2.
+    That bound, with u = 2^-53, d = period_error(H) and b_j = c_j + d for
+    the table's magnitudes c_j, adds:
+    - the inputs: the computed period e_j is within d of eta_j (d bounds the
+      complex error; see energy_via_moments), so |e_j| and |eta_j| are at
+      most b_j, and e_j^m, taken by m - 1 complex products of relative error
+      sqrt(5)*u each, is within alpha_j = m*d*b_j^(m-1) + 3m*u*b_j^m of
+      eta_j^m (for the difference counts, c_j^2 is within 2d*b_j + u*c_j^2
+      of |eta_j|^2, inside alpha_j at m = 2).  So the correlation of the
+      computed inputs is within sum over j of alpha_j*b_(j+k) + d*b_j^m
+      <= |alpha|_2 |b|_2 + d |b^m|_1 (Cauchy-Schwarz) of the exact one;
+    - the padded FFT: with a normwise error of eps per transform (Higham,
+      Accuracy and Stability, 2nd ed., Thm 24.2: eps <= log2(n)*eta', with
+      eta' <= 8u for twiddle factors within 2u), each lag of
+      ifft(conj(fft(f)) * fft(g)) is within (2 eps + sqrt(5) u) |f|_2 |g|_2
+      from the two forward transforms and the products, plus eps |f|_2 |g|_1
+      from the inverse, whose error is relative to the 2-norm of all n lags,
+      which |f|_2 |g|_1 bounds.  That is at most
+      FFT_ERROR * (log2(n) + 1) * u * |b^m|_2 |b|_1 with FFT_ERROR = 26 for a
+      lag, twice that for the two lags of a cyclic entry, and u |b^m|_2 |b|_2
+      for their addition;
+    - the final (H^m + sum) / p: rounding H^m to a float, the addition and
+      the division, 4u (H^m + |b^m|_2 |b|_2);
+    - at 0, before the product by H: |alpha|_1, the summation of the M
+      powers (M*u*|b^m|_1), and the same final roundings, 4u (H^(m-1) +
+      |b^m|_1);
+    all over p, scaled by 1 + 1e-6 above the bound's own float error.
+    Where the bound is 1/2 or more, the profile comes from m - 1 folds of
+    the coset labels over all p residues, r_m(lam) = sum over h of
+    r_(m-1)(lam - h), exact in int64.  That happens where H is large: the
+    first term is about 1.5m*u*H^(1 + m/2), which nears 1/2 at H ~ 10^6 for
+    m = 3 (p = 9999991 with H = 1111110 or 1999998) and only far above it for
+    m = 2.  Either way every count is asserted to be at least 0 and the counts
+    to add up to H^m.
+    """
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
-    order = sub.order
+    order = table.order
     if order ** (2 * m) > ENERGY_CAP:
         raise ResourceError(f"energy H^(2m) = {order}^{2 * m} exceeds the accumulator budget")
-    index = sub.coset_index()
-    if base is None:
-        # r_1 is the indicator: 1 on coset 0, the subgroup itself
-        per_coset, at_zero, done = (np.arange(index.cosets) == 0).astype(np.int64), 0, 1
-    elif base.index is index and base.m <= m:
-        per_coset, at_zero, done = base.per_coset, base.at_zero, base.m
-    else:
-        raise InputError(f"base must be a fold of this subgroup with m <= {m}")
-    for _ in range(m - done):
-        per_coset, at_zero = _sums_at_cosets(sub, per_coset, at_zero, -1)
+    f = table.eta
+    for _ in range(m - 1):
+        f = f * table.eta
+    per_coset, at_zero = _profile(table, f, m, -1)
+    if m == 2:
+        # h1 + h2 = 0 has H solutions when -1 lies in H (even H), else none
+        assert at_zero == (order if order % 2 == 0 else 0), "r_2(0) is not H or 0"
     safe = order ** (2 * m) < 2**62
     energy = at_zero * at_zero + order * _exact_square_sum(per_coset, safe)
-    return EnergyProfile(sub.p, energy, per_coset, at_zero, index, m)
+    return EnergyProfile(table.p, energy, per_coset, at_zero, table.index, m)
 
 
-def difference_counts(sub: Subgroup) -> DifferenceProfile:
-    """Ordered pairs (h1, h2) by their difference h1 - h2, once per coset."""
-    order, index = sub.order, sub.coset_index()
-    per_coset, at_zero = _sums_at_cosets(sub, np.arange(index.cosets) == 0, 0, 1)
+def difference_counts(table: SumTable) -> DifferenceProfile:
+    """Ordered pairs (h1, h2) by their difference h1 - h2, once per coset:
+    representation_counts at m = 2 with |eta_j|^2 in place of eta_j^2."""
+    order = table.order
+    per_coset, at_zero = _profile(table, table.coset_magnitudes**2, 2, 1)
+    assert at_zero == order, "h1 - h2 = 0 has H solutions"
     energy = at_zero * at_zero + order * _exact_square_sum(per_coset, order**4 < 2**62)
-    return DifferenceProfile(sub.p, energy, per_coset, at_zero, index)
+    return DifferenceProfile(table.p, energy, per_coset, at_zero, table.index)
 
 
 def energy_via_moments(table: SumTable, m: int) -> float:
@@ -126,9 +235,11 @@ def energy_via_moments(table: SumTable, m: int) -> float:
       the complex product of two entries of modulus 1 + O(u) adds at most
       2*sqrt(2)*u: 24.5u plus terms of order u^2;
     - each period is a sum of H such phases added in any order
-      (componentwise at most (H-1)u times H, so sqrt(2)*(H-1)*u*H), and its
+      (componentwise at most (H-1)u times H, so sqrt(2)*(H-1)*u*H), so the
+      table's period is within H*u*(PHASE_ERROR + 1.5*H) of eta_j, and its
       magnitude adds at most 2u*H: the table's c_j is within
-      d = period_error(H) = H*u*(PHASE_ERROR + 2 + 1.5*H) of |eta_j|.
+      d = period_error(H) = H*u*(PHASE_ERROR + 2 + 1.5*H) of |eta_j|, and
+      its period within d of eta_j.
       Halving the table adds nothing: conjugating a period is exact, and
       for even H the period is 2 Re of a sum of H/2 phases, within twice the
       bound for H/2 terms, which is within the bound for H terms.  So
@@ -165,7 +276,7 @@ def j_count(interval: Interval, sub: Subgroup) -> IntervalProductProfile:
     res = interval.residues(p)
     index = sub.coset_index()
     nonzero = res[res != 0]
-    per_coset = np.bincount(index.labels[nonzero], minlength=index.cosets).astype(np.int64)
+    per_coset = np.bincount(index.coset_of(nonzero), minlength=index.cosets).astype(np.int64)
     at_zero = order * (res.size - nonzero.size)
     energy = at_zero * at_zero + order * _exact_square_sum(per_coset, res.size**2 < 2**62)
     return IntervalProductProfile(p, energy, per_coset, at_zero, index)

@@ -27,8 +27,9 @@ PHASE_ERROR = 29
 
 
 def period_error(order: int) -> float:
-    """d = H*u*(PHASE_ERROR + 2 + 1.5H): every coset magnitude c_j of all_sums
-    lies within d of |eta_j| (derived in energy.energy_via_moments)."""
+    """d = H*u*(PHASE_ERROR + 2 + 1.5H): every period of all_sums lies within
+    d of the exact eta_j, and its coset magnitude c_j within d of |eta_j|
+    (derived in energy.energy_via_moments)."""
     return order * 2.0**-53 * (PHASE_ERROR + 2 + 1.5 * order)
 
 
@@ -51,7 +52,7 @@ class SumTable:
 
     eta[j] is the Gaussian period S_(g^j) of coset j of the coset index and
     coset_magnitudes[j] = |eta_j| the common magnitude on that coset; S_a is
-    eta[index.labels[a]] for a != 0, and S_0 is the subgroup order.
+    eta[index.coset_of(a)] for a != 0, and S_0 is the subgroup order.
     """
 
     p: int
@@ -154,5 +155,5 @@ def interval_subgroup_sum(
     res = interval.residues(p)
     if table is None:
         table = all_sums(sub)
-    mags = table.index.spread(table.coset_magnitudes, float(table.order), (a * res) % p)
-    return float(np.sum(mags))
+    cosets = table.index.coset_of(a * res % p)
+    return float(np.sum(np.append(table.coset_magnitudes, float(table.order))[cosets]))

@@ -286,9 +286,10 @@ def trilinear_eval(
     FFT, coset index or pair count is used, so the check stays independent
     of the spectral stage-3 values.  Memory: the 16p-byte table, the p-byte
     mark, 24 bytes per distinct product (U and G) and block buffers of
-    TRILINEAR_BLOCK entries reused by every block.  The budget still counts
-    all |X|*|Y|*|Z| terms.  A p whose residue products overflow int64 is
-    refused (subgroup.check_int64_products).
+    TRILINEAR_BLOCK entries, one set shared by the three passes and reused by
+    every block.  The budget still counts all |X|*|Y|*|Z| terms.  A p whose
+    residue products overflow int64 is refused
+    (subgroup.check_int64_products).
     """
     x, y, z = (np.asarray(s, dtype=np.int64) for s in (x_set, y_set, z_set))
     if min(x.size, y.size, z.size) == 0:
@@ -300,17 +301,18 @@ def trilinear_eval(
         )
     x, y, c = x % p, y % p, int(a) % p * (z % p) % p
     terms = np.empty(TRILINEAR_BLOCK, dtype=np.complex128)
+    grid = np.empty((2, TRILINEAR_BLOCK), dtype=np.int64)  # shared by the three passes
 
     def sums(r: np.ndarray, col: np.ndarray, table: np.ndarray) -> np.ndarray:
         """out[i] = sum over j of table[r[i] * col[j] mod p]."""
         out = np.zeros(r.size, dtype=np.complex128)
-        for rows, _, w in residue_grid(np.multiply, r, col, p, TRILINEAR_BLOCK):
+        for rows, _, w in residue_grid(np.multiply, r, col, p, TRILINEAR_BLOCK, grid):
             t = np.take(table, w, out=terms[: w.size].reshape(w.shape), mode="clip")
             out[rows] += t.sum(axis=1)
         return out
 
     mark = np.zeros(p, dtype=bool)
-    for _, _, w in residue_grid(np.multiply, c, x, p, TRILINEAR_BLOCK):
+    for _, _, w in residue_grid(np.multiply, c, x, p, TRILINEAR_BLOCK, grid):
         mark[w] = True
     u = np.flatnonzero(mark)
     del mark  # before the table is built: the two never coexist
@@ -388,8 +390,8 @@ def build_trace(
     """Run the full three-stage cascade for (p, subgroup, a).
 
     Defaults: a is the smallest residue attaining max |S_a|; the sum table
-    and the 2- and 3-fold representation profiles are computed on demand (r3
-    from r2).  For even H, -1 lies in the subgroup, so the stage-3
+    and the 2- and 3-fold representation profiles are computed on demand
+    from its periods.  For even H, -1 lies in the subgroup, so the stage-3
     difference counts are r2 itself.
     Every outcome is a TraceResult.  The full group, |S_a| <= 1 and a stage
     that ends empty (its reason names the stage) come back with the
@@ -403,7 +405,7 @@ def build_trace(
     a = int(a) % p
     if a == 0:
         raise InputError("a must be nonzero mod p")
-    shift = int(table.index.labels[a])  # a lies in coset `shift`
+    shift = int(table.index.coset_of(a))  # a lies in coset `shift`
     mag_a = float(table.coset_magnitudes[shift])
     delta = mag_a / H
     if H == p - 1:
@@ -422,9 +424,9 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
     index = table.index
     delta = mag_a / H
     if r2 is None:
-        r2 = representation_counts(sub, 2)
+        r2 = representation_counts(table, 2)
     if r3 is None:
-        r3 = representation_counts(sub, 3, r2)  # one more fold from r_2
+        r3 = representation_counts(table, 3)
     t3 = r3.energy
 
     # Every stage works on _slots arrays; multiplicities are H times the
@@ -476,7 +478,7 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
     w = H * _pair_sums(xc, yc, index.cosets)
     scale3 = float(nx) * float(ny)
     v = _slots(scale3, np.abs(_correlate(w, np.roll(table.eta, -shift))))
-    rdiff = r2 if H % 2 == 0 else difference_counts(sub)
+    rdiff = r2 if H % 2 == 0 else difference_counts(table)
     mults2 = _slots(rdiff.at_zero, H * rdiff.per_coset)
     st3, zc = _stage(
         3, checks, H, v, mults2, scale3, 0.5 * scale3 * delta2_meas**2, 1,
@@ -526,7 +528,7 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
     )
     sets = TraceSets(
         x=x,
-        x_weights=index.spread(r3.per_coset, r3.at_zero, x),
+        x_weights=r3.per_coset[index.coset_of(x)],
         y=y,
         z=z,
         g1=g1,
@@ -589,7 +591,7 @@ def moment_inequality_check(
         table = all_sums(sub)
     s_val = interval_subgroup_sum(a, interval, sub, table=table)
     if r_m is None:
-        r_m = representation_counts(sub, m)
+        r_m = representation_counts(table, m)
     if j_prof is None:
         j_prof = j_count(interval, sub)
     t_m = r_m.energy

@@ -15,10 +15,12 @@ from .field import PrimeModulus, primitive_root
 # Largest subgroup order whose elements are listed (8 bytes each, plus a
 # same-sized temporary while they are sorted).
 ELEMENT_LIMIT = 10**7
-# Largest p for which length-p tables (coset index, sum table) are built.
+# Largest p for which the coset index and the sum table are built.  Neither
+# holds an array of length p; only the coset labels of the energy folds do.
 DEFAULT_DENSE_LIMIT = 10**7
-# Entries per residue_grid block of the power table, the energy folds and the
-# a* search: small enough to stay in cache, so no block faults in fresh pages.
+# Entries per residue_grid block of the power table (the sum table and the
+# coset labels), the energy folds and the a* search: small enough to stay in
+# cache, so no block faults in fresh pages.
 TABLE_BLOCK = 2**14
 # Largest p - 1 whose square fits in int64.  The coset index and the literal
 # trilinear check multiply two residues in int64, which wraps above it.
@@ -34,19 +36,23 @@ def check_int64_products(p: int) -> None:
         )
 
 
-def residue_grid(op, r: np.ndarray, c: np.ndarray, n: int, block: int):
+def residue_grid(op, r: np.ndarray, c: np.ndarray, n: int, block: int, out=None):
     """(rows, cols, x) triples with x = op(r[rows, None], c[cols]) mod n, for
     op np.multiply or np.add on int64 values whose results fit in int64.
 
     Columns run outer and rows inner, in blocks of at most `block` entries
     that tile r x c exactly once; every block is written into the same two
-    buffers, so the next block overwrites it.  Callers that keep a block
-    size keep the order in which their sums meet each entry."""
+    buffers, so the next block overwrites it.  Those are out[0] and out[1]
+    of a caller's int64 array of shape (2, k >= block), so that one pair can
+    serve several grids, else a pair allocated here.  Callers that keep a
+    block size keep the order in which their sums meet each entry."""
     if r.size == 0 or c.size == 0:
         return
     width = min(c.size, block)
     height = min(r.size, max(1, block // width))
-    buf, quo = np.empty((2, height * width), dtype=np.int64)
+    if out is None:
+        out = np.empty((2, height * width), dtype=np.int64)
+    buf, quo = out
     for j in range(0, c.size, width):
         cols = slice(j, min(j + width, c.size))
         for i in range(0, r.size, height):
@@ -66,8 +72,11 @@ class CosetIndex:
 
     The power table g^(iM+j), laid out as an H x M matrix whose column j is
     coset j, is never stored: reps[j] = g^j (coset 0 is the subgroup) and
-    steps[i] = g^(iM) give it a block at a time.  labels[x] = log_g(x) mod M,
-    and labels[0] = M as 0 lies in no coset; it is built on first use.
+    steps[i] = g^(iM) give it a block at a time.  coset_of(x) is the coset
+    of each residue x, M for x = 0, in O(M) memory.  labels is the same map
+    as a 4p-byte array over all residues, built on first use; only the
+    energy folds read it, where the correlation of energy.representation_counts
+    cannot certify its rounding.
     """
 
     p: int
@@ -96,13 +105,34 @@ class CosetIndex:
             out[block] = coset[cols]
         return out
 
+    @cached_property
+    def _power_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, cosets): keys = 0 and the M residues g^(jH), sorted, and
+        cosets[i] the j of keys[i] (M for the key 0)."""
+        m = self.cosets
+        powers = _geometric(pow(self.root, self.order, self.p), m, self.p)
+        order = np.argsort(powers)
+        return np.append(0, powers[order]), np.append(m, order)
+
+    def coset_of(self, residues) -> np.ndarray:
+        """The coset of each residue, M for 0, without labels: x = g^k has
+        x^H = g^(kH), and g^H has order M, so x^H = g^(jH) exactly when
+        k = j mod M.  x^H is taken by square-and-multiply in int64 (at most
+        2 log2 H products a residue) and found by bisection among the M powers
+        g^(jH), which are built and sorted on first use (O(M log M))."""
+        p = self.p
+        base = np.asarray(residues, dtype=np.int64) % p
+        power = np.ones_like(base)
+        for bit in bin(self.order)[2:]:
+            power = power * power % p
+            if bit == "1":
+                power = power * base % p
+        keys, cosets = self._power_keys
+        return cosets[np.searchsorted(keys, power)]
+
     def members(self, cosets: np.ndarray) -> np.ndarray:
         """The residues of the given cosets, sorted."""
         return np.sort(self.reps[cosets, None] * self.steps % self.p, axis=None)
-
-    def spread(self, per_coset: np.ndarray, at_zero, residues: np.ndarray) -> np.ndarray:
-        """The value at each of `residues`: per_coset[j] on coset j, at_zero at 0."""
-        return np.append(per_coset, at_zero)[self.labels[residues]]
 
 
 def _geometric(g: int, n: int, p: int) -> np.ndarray:

@@ -3,12 +3,13 @@
 Everything here is deliberately naive: plain Python loops, cmath phases,
 literal tuple enumeration, and for the mid-sized cascade numpy over every
 residue.  These implementations never share code with the package paths
-they check; the one exception, `spread`, is marked as such.
+they check.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from collections import Counter, defaultdict
@@ -54,13 +55,42 @@ def indicator(sub) -> np.ndarray:
     return out
 
 
-def spread(index, per_coset, at_zero) -> np.ndarray:
-    """per_coset[j] at every residue of coset j of the index and at_zero at 0.
+@functools.lru_cache(maxsize=64)
+def coset_labels(p: int, root: int, order: int) -> np.ndarray:
+    """labels[x] = log_root(x) mod M for every nonzero residue x and M at 0,
+    with M = (p-1)/order, from a discrete-log table walked one power of root
+    at a time (coset j is root^j times the subgroup of the powers root^(iM))."""
+    m = (p - 1) // order
+    labels = [None] * p
+    labels[0] = m
+    x = 1
+    for k in range(p - 1):
+        assert labels[x] is None, f"{root} is not a primitive root mod {p}"
+        labels[x] = k % m
+        x = x * root % p
+    out = np.array(labels, dtype=np.int64)
+    out.flags.writeable = False  # cached and shared
+    return out
 
-    Not an oracle: a length-p view of values the package computed once per
-    coset, read through the package's own coset labels, so that tests can
-    compare them residue by residue with the oracles here."""
-    return np.append(per_coset, at_zero)[index.labels]
+
+def spread(index, per_coset, at_zero) -> np.ndarray:
+    """per_coset[j] at every residue of coset j of the index and at_zero at 0,
+    read through coset_labels built from the index's primitive root alone, so
+    that tests can compare values the package computed once per coset with
+    the oracles here residue by residue."""
+    return np.append(per_coset, at_zero)[coset_labels(index.p, index.root, index.order)]
+
+
+def fold_counts(p: int, elements, m: int, sign: int = 1) -> np.ndarray:
+    """counts[lam] = #{(h_1, ..., h_m) : h_1 + sign*(h_2 + ... + h_m) = lam}
+    over all p residues, by m - 1 shifted sums of the indicator: sign 1 gives
+    the representation counts r_m, sign -1 at m = 2 the difference counts."""
+    ind = np.zeros(p, dtype=np.int64)
+    ind[np.asarray(elements, dtype=np.int64) % p] = 1
+    counts = ind
+    for _ in range(m - 1):
+        counts = sum(np.roll(counts, sign * int(h)) for h in elements)
+    return counts
 
 
 def parseval_defect(magnitudes, p: int, order: int) -> float:

@@ -84,12 +84,12 @@ def test_criterion_4_energy_oracle_equivalence():
         for p in (13, 31, 61, 101, 181):
             pair = subgroup_of_order(p, 2)
             assert list(pair.elements) == [1, p - 1]
-            assert representation_counts(pair, 2).energy == 6
+            assert representation_counts(all_sums(pair), 2).energy == 6
             for h in (d for d in divisors(p - 1) if d <= 12):
                 sub = subgroup_of_order(p, h)
                 table = all_sums(sub)
                 for m in (2, 3):
-                    t_conv = representation_counts(sub, m).energy
+                    t_conv = representation_counts(table, m).energy
                     assert brute_force_T(sub, m) == t_conv, (p, h, m)
                     assert round(energy_via_moments(table, m)) == t_conv, (p, h, m)
 

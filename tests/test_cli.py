@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from expsumlab import InputError, cli, prooftrace, subgroup_of_order
+from expsumlab import CosetIndex, InputError, cli, prooftrace, subgroup_of_order
 from expsumlab.cli import (
     CSV_HEADER,
     EXIT_BAD_INPUT,
@@ -102,7 +102,7 @@ class TestEnergyCommand:
     def test_energy_off_by_one_rejected(self):
         sub = subgroup_of_order(1009, 48)
         table = cli.all_sums(sub)
-        t_3 = cli.representation_counts(sub, 3).energy
+        t_3 = cli.representation_counts(table, 3).energy
         assert cli._moment_check(table, 3, t_3)[2]
         assert not cli._moment_check(table, 3, t_3 + 1)[2]
         assert not cli._moment_check(table, 3, t_3 - 1)[2]
@@ -175,9 +175,9 @@ class TestTraceCommand:
         calls = []
         real = prooftrace.difference_counts
 
-        def counted(sub):
-            calls.append(sub.order)
-            return real(sub)
+        def counted(table):
+            calls.append(table.order)
+            return real(table)
 
         monkeypatch.setattr(prooftrace, "difference_counts", counted)
         for p, h, expected in ((1009, 14, []), (13, 3, [3])):
@@ -188,10 +188,10 @@ class TestTraceCommand:
         assert run_cli("trace", "--prime", "1009", "--order", "14") == EXIT_OK
         reused = capsys.readouterr().out
 
-        def with_difference_profile(sub, r2=None, r3=None, **kwargs):
+        def with_difference_profile(sub, table, r2=None, r3=None, **kwargs):
             # the difference profile in the place of r_2: stage 3 reads it as before
-            r3 = prooftrace.representation_counts(sub, 3)
-            return prooftrace.build_trace(sub, r2=real(sub), r3=r3, **kwargs)
+            r3 = prooftrace.representation_counts(table, 3)
+            return prooftrace.build_trace(sub, table=table, r2=real(table), r3=r3, **kwargs)
 
         monkeypatch.setattr(cli, "build_trace", with_difference_profile)
         assert run_cli("trace", "--prime", "1009", "--order", "14") == EXIT_OK
@@ -365,6 +365,27 @@ class TestScanCommand:
             fft_mags = np.abs(np.fft.fft(ind))
             assert abs(r["max_abs_sum"] - fft_mags[1:].max()) <= 1e-6 * h
             assert abs(fft_mags[r["a_star"]] - r["max_abs_sum"]) <= 1e-6 * h
+
+
+def test_commands_build_no_coset_labels(monkeypatch, capsys):
+    """scan, trace and an energy whose correlation is certified never read the
+    4p-byte coset labels: any read of them raises for the length of the runs."""
+
+    def refused(index):
+        raise AssertionError("coset labels built")
+
+    monkeypatch.setattr(CosetIndex, "labels", property(refused))
+    runs = [
+        ["scan", "--p-min", "200000", "--p-max", "200100", "--alpha-lo", "0.4",
+         "--m", "2,3", "--interval-power", "0.5"],
+        ["trace", "--prime", "16111", "--order", "18", "--interval-length", "127"],
+        ["trace", "--prime", "1009", "--order", "21", "--interval-start", "3",
+         "--interval-length", "40"],
+        ["energy", "--prime", "1000003", "--order", "166667", "--m", "3"],
+    ]
+    for argv in runs:
+        assert run_cli(*argv) == EXIT_OK, argv
+        assert "warning" not in capsys.readouterr().err, argv
 
 
 class TestSubprocessInterface:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from expsumlab import (
     Interval,
     ResourceError,
+    SumTable,
     all_sums,
     difference_counts,
     divisors,
@@ -17,8 +19,17 @@ from expsumlab import (
     representation_counts,
     subgroup_of_order,
 )
+from expsumlab import energy, is_prime
+from expsumlab.energy import _period_correlation, correlation_error_bound
 from expsumlab.expsum import PHASE_ERROR, phase_tables
-from oracles import brute_force_T, indicator, quadruple_loop_j, spread, tuple_count_T
+from oracles import (
+    brute_force_T,
+    fold_counts,
+    indicator,
+    quadruple_loop_j,
+    spread,
+    tuple_count_T,
+)
 
 
 def counts(prof):
@@ -29,26 +40,26 @@ def counts(prof):
 class TestRepresentationCounts:
     def test_m1_is_indicator(self):
         sub = subgroup_of_order(13, 3)
-        prof = representation_counts(sub, 1)
+        prof = representation_counts(all_sums(sub), 1)
         assert np.array_equal(counts(prof), indicator(sub))
         assert prof.energy == 3
 
     def test_pair_subgroup_m2(self):
         # H = {1, p-1}: r2(2) = 1, r2(0) = 2, r2(p-2) = 1, T2 = 6
         sub = subgroup_of_order(13, 2)
-        prof = representation_counts(sub, 2)
+        prof = representation_counts(all_sums(sub), 2)
         expected = np.zeros(13, dtype=np.int64)
         expected[2], expected[0], expected[11] = 1, 2, 1
         assert np.array_equal(counts(prof), expected)
         assert prof.energy == 6
 
     def test_trivial_subgroup(self):
-        assert representation_counts(subgroup_of_order(13, 1), 2).energy == 1
+        assert representation_counts(all_sums(subgroup_of_order(13, 1)), 2).energy == 1
 
     @pytest.mark.parametrize("p,h,m", [(13, 3, 2), (13, 3, 3), (31, 6, 2), (101, 10, 3)])
     def test_count_sums_and_invariance(self, p, h, m):
         sub = subgroup_of_order(p, h)
-        prof = representation_counts(sub, m)
+        prof = representation_counts(all_sums(sub), m)
         rm = counts(prof)
         assert int(rm.sum()) == h**m
         # multiplicative invariance r_m(h * lam) = r_m(lam), all lam, all h
@@ -59,28 +70,126 @@ class TestRepresentationCounts:
     def test_energy_bounds(self):
         sub = subgroup_of_order(101, 10)
         for m in (1, 2, 3):
-            t = representation_counts(sub, m).energy
+            t = representation_counts(all_sums(sub), m).energy
             assert 10**m <= t <= 10 ** (2 * m)
             assert t >= 10 ** (2 * m) // 101
 
     def test_overflow_guard(self):
         sub = subgroup_of_order(13, 2)
         with pytest.raises(ResourceError):
-            representation_counts(sub, 70)  # 2^140 > 2^127
+            representation_counts(all_sums(sub), 70)  # 2^140 > 2^127
 
 
 class TestDifferenceCounts:
     @pytest.mark.parametrize("p,h", [(13, 3), (101, 10), (1009, 48)])
     def test_square_sum_is_t2(self, p, h):
         sub = subgroup_of_order(p, h)
-        prof = difference_counts(sub)
+        prof = difference_counts(all_sums(sub))
         rd = counts(prof)
         assert int(rd.sum()) == h * h
         assert rd[0] == prof.at_zero == h
-        r2 = representation_counts(sub, 2)
+        r2 = representation_counts(all_sums(sub), 2)
         assert int(np.dot(rd, rd)) == prof.energy == r2.energy
         # -1 lies in a subgroup of even order, so h1 - h2 runs over the sums h1 + h2
         assert np.array_equal(counts(r2), rd) == (h % 2 == 0)
+
+
+def profiles(table):
+    """(name, m, profile, f) for r_1, r_2, r_3 and the difference counts of
+    the table, with f the powers of the periods their correlation runs on."""
+    f = table.eta
+    out = []
+    for m in (1, 2, 3):
+        out.append((f"r_{m}", m, representation_counts(table, m), f))
+        f = f * table.eta
+    return out + [("difference", 2, difference_counts(table), table.coset_magnitudes**2)]
+
+
+class TestCorrelationRoute:
+    def test_every_small_field_against_oracle_folds(self):
+        # every prime p < 300 and every H | p - 1, odd H and H = 1, p - 1 included
+        for p in (n for n in range(3, 300) if is_prime(n)):
+            for h in divisors(p - 1):
+                sub = subgroup_of_order(p, h)
+                elems = [int(v) for v in sub.elements]
+                for name, m, prof, _ in profiles(all_sums(sub)):
+                    want = fold_counts(p, elems, m, -1 if name == "difference" else 1)
+                    assert np.array_equal(counts(prof), want), (p, h, name)
+                    assert prof.energy == int(np.dot(want, want)), (p, h, name)
+                    if name == "difference":
+                        continue
+                    if h**m <= 20000:
+                        assert prof.energy == tuple_count_T(elems, p, m), (p, h, m)
+                    if h ** (2 * m) <= 10**6:
+                        assert prof.energy == brute_force_T(sub, m), (p, h, m)
+
+    @pytest.mark.parametrize("p,h", [(1009, 21), (1009, 48), (4003, 23), (13, 12)])
+    def test_fold_fallback_where_the_bound_is_forced(self, monkeypatch, p, h):
+        # a bound at 1/2 sends every profile to the label folds, with the same counts
+        table = all_sums(subgroup_of_order(p, h))
+        certified = profiles(table)
+        assert "labels" not in vars(table.index)
+        monkeypatch.setattr(energy, "correlation_error_bound", lambda table, m: 0.5)
+        for (name, _, want, _), (_, _, got, _) in zip(certified, profiles(table)):
+            assert np.array_equal(got.per_coset, want.per_coset), name
+            assert (got.at_zero, got.energy) == (want.at_zero, want.energy), name
+        assert "labels" in vars(table.index)
+
+    def test_fold_fallback_where_the_bound_fails(self):
+        # H = 1400000, M = 2: the bound for r_3 is above 1/2, so the folds answer;
+        # the correlation, rounded anyway, gives the same counts
+        p, h = 2800001, 1400000
+        table = all_sums(subgroup_of_order(p, h))
+        assert correlation_error_bound(table, 3) >= 0.5 > correlation_error_bound(table, 2)
+        prof = representation_counts(table, 3)
+        assert "labels" in vars(table.index)
+        values, zero = _period_correlation(table, table.eta * table.eta * table.eta, 3)
+        assert np.array_equal(np.rint(values).astype(np.int64), prof.per_coset)
+        assert h * round(zero) == prof.at_zero
+        assert prof.at_zero + h * int(prof.per_coset.sum()) == h**3
+
+
+class TestCorrelationErrorBound:
+    # the largest observed distance over these fields is 0.0144 of the bound
+    FRACTION = 0.05
+
+    @pytest.mark.parametrize("p", [13, 101, 257, 1009, 16111])
+    def test_observed_distance_within_a_fraction_of_the_bound(self, p):
+        for h in divisors(p - 1):
+            table = all_sums(subgroup_of_order(p, h))
+            for name, m, prof, f in profiles(table):
+                values, zero = _period_correlation(table, f, m)
+                dist = max(np.max(np.abs(values - prof.per_coset)), abs(zero - prof.at_zero / h))
+                bound = correlation_error_bound(table, m)
+                assert bound < 0.5 and dist <= self.FRACTION * bound, (p, h, name, dist / bound)
+
+    @pytest.mark.parametrize("cosets", [1, 2, 3, 17, 1000, 4097])
+    def test_fft_term_covers_numpy_transforms(self, cosets):
+        # integer inputs have an exact correlation; the padded FFT stays within
+        # its stated term, 2 * FFT_ERROR * (log2 n + 1) * u * |f|_2 |g|_1 + u |f|_2 |g|_2
+        a, b, c, d = np.random.default_rng(cosets).integers(-1000, 1001, (4, cosets))
+        f, g = a + 1j * b, c + 1j * d
+        table = SumTable(1, 0, np.abs(g), g, None)  # H = 0 and p = 1 leave the bare correlation
+        values, _ = _period_correlation(table, f, 1)
+        # the real part of sum over j of f[j] * conj(g[j + k]), in int64
+        exact = np.array([a @ np.roll(c, -k) + b @ np.roll(d, -k) for k in range(cosets)])
+        n = 1 << (2 * cosets - 2).bit_length()
+        u, norm_f = 2.0**-53, float(np.linalg.norm(f))
+        term = 2 * energy.FFT_ERROR * (np.log2(n) + 1) * u * norm_f * float(np.sum(np.abs(g)))
+        term += u * norm_f * float(np.linalg.norm(g))
+        assert float(np.max(np.abs(values - exact))) <= term
+
+    @pytest.mark.parametrize("p,h", [(101, 10), (1009, 21), (16111, 18)])
+    def test_period_perturbed_past_the_bound_is_refused(self, p, h):
+        # moving one period by 4p times the bound moves the count at 0 by 4 bounds
+        table = all_sums(subgroup_of_order(p, h))
+        exact = representation_counts(table, 1)
+        eta = table.eta.copy()
+        eta[0] += 4 * p * correlation_error_bound(table, 1)
+        bad = dataclasses.replace(table, eta=eta, coset_magnitudes=np.abs(eta))
+        values, zero = _period_correlation(bad, bad.eta, 1)
+        dist = max(np.max(np.abs(values - exact.per_coset)), abs(zero - exact.at_zero / h))
+        assert dist > correlation_error_bound(bad, 1)
 
 
 class TestMoments:
@@ -95,7 +204,7 @@ class TestMoments:
     def test_m3_matches_convolution(self):
         sub = subgroup_of_order(13, 3)
         moment = energy_via_moments(all_sums(sub), 3)
-        assert abs(moment - representation_counts(sub, 3).energy) < 0.5
+        assert abs(moment - representation_counts(all_sums(sub), 3).energy) < 0.5
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
@@ -122,7 +231,7 @@ class TestMomentErrorBound:
             sub = subgroup_of_order(p, h)
             table = all_sums(sub)
             for m in (1, 2, 3):
-                t_m = representation_counts(sub, m).energy
+                t_m = representation_counts(table, m).energy
                 moment, bound = energy_via_moments(table, m), moment_error_bound(table, m)
                 assert abs(Fraction(moment) - t_m) <= bound, (p, h, m)
                 if bound < 0.5:
@@ -134,7 +243,7 @@ class TestMomentErrorBound:
         # p * T_2 > 2^53: rounding cannot confirm T_2, the bound still covers it
         sub = subgroup_of_order(1000003, 500001)
         table = all_sums(sub)
-        t_2 = representation_counts(sub, 2).energy
+        t_2 = representation_counts(table, 2).energy
         moment, bound = energy_via_moments(table, 2), moment_error_bound(table, 2)
         assert round(moment) != t_2
         assert 0.5 < abs(Fraction(moment) - t_2) <= bound < 1e-10 * t_2
@@ -156,8 +265,8 @@ class TestBruteForce:
 
     def test_matches_convolution(self):
         sub = subgroup_of_order(13, 3)
-        assert brute_force_T(sub, 2) == representation_counts(sub, 2).energy
-        assert brute_force_T(sub, 3) == representation_counts(sub, 3).energy
+        assert brute_force_T(sub, 2) == representation_counts(all_sums(sub), 2).energy
+        assert brute_force_T(sub, 3) == representation_counts(all_sums(sub), 3).energy
 
     def test_matches_independent_counter(self):
         sub = subgroup_of_order(31, 6)
@@ -197,7 +306,7 @@ def test_three_way_agreement_property(p, data):
     h = data.draw(st.sampled_from([d for d in divisors(p - 1) if d <= 10]))
     m = data.draw(st.sampled_from([2, 3]))
     sub = subgroup_of_order(p, h)
-    t_conv = representation_counts(sub, m).energy
+    t_conv = representation_counts(all_sums(sub), m).energy
     assert brute_force_T(sub, m) == t_conv
     assert round(energy_via_moments(all_sums(sub), m)) == t_conv
 
@@ -213,6 +322,6 @@ def test_three_way_agreement_exhaustive_small_primes():
             sub = subgroup_of_order(p, h)
             table = all_sums(sub)
             for m in (2, 3):
-                t_conv = representation_counts(sub, m).energy
+                t_conv = representation_counts(table, m).energy
                 assert brute_force_T(sub, m) == t_conv, (p, h, m)
                 assert round(energy_via_moments(table, m)) == t_conv, (p, h, m)

@@ -24,6 +24,7 @@ from expsumlab import (
     subgroup_of_order,
     trilinear_eval,
 )
+from expsumlab import prooftrace
 from oracles import residue_level_trace, spread, subgroup_sum, tuple_level_trace
 from test_acceptance import TRACE_ORDERS
 
@@ -73,7 +74,7 @@ class TestDyadicStage:
         delta = mx / 3
         table = all_sums(sub)
         lam = np.arange(p, dtype=np.int64)
-        r3 = representation_counts(sub, 3)
+        r3 = representation_counts(table, 3)
         mags = spread(table.index, table.coset_magnitudes, 3)
         counts = spread(r3.index, r3.per_coset, r3.at_zero)
         st = dyadic_stage(mags[(a * lam) % p], counts, 3.0, 0.5 * 3 * delta**3)
@@ -157,6 +158,22 @@ class TestTrilinearEval:
             _triple_loop(x, y, z, a, p), abs=1e-9
         )
 
+    def test_passes_share_one_buffer_pair(self, monkeypatch):
+        # the mark, G on U and the per-z gather all write into one (2, block) array
+        buffers = []
+        real = prooftrace.residue_grid
+
+        def recorded(op, r, c, n, block, out=None):
+            buffers.append(out)
+            yield from real(op, r, c, n, block, out)
+
+        monkeypatch.setattr(prooftrace, "residue_grid", recorded)
+        x, y, z = [1, 3, 9, 27], [2, 5, 7], [4, 7, 11, 12]
+        assert trilinear_eval(x, y, z, 2, 1009) == pytest.approx(_triple_loop(x, y, z, 2, 1009), abs=1e-9)
+        assert len(buffers) == 3 and buffers[0] is not None
+        assert all(out is buffers[0] for out in buffers)
+        assert buffers[0].shape == (2, prooftrace.TRILINEAR_BLOCK)
+
     def test_peak_memory(self):
         """At p near 10^6 the check holds its 16p-byte phase table (after
         its p-byte mark is freed), block buffers and 24 bytes per distinct
@@ -215,7 +232,7 @@ class TestBuildTrace:
     def test_x_weights_are_representation_counts(self):
         sub = subgroup_of_order(1009, 16)
         tr = build_trace(sub)
-        r3 = representation_counts(sub, 3)
+        r3 = representation_counts(all_sums(sub), 3)
         assert np.array_equal(tr.sets.x_weights, spread(r3.index, r3.per_coset, r3.at_zero)[tr.sets.x])
 
     def test_zero_excluded_from_sets(self):

@@ -12,6 +12,7 @@ from expsumlab import (
     all_sums,
     difference_counts,
     divisors,
+    is_prime,
     j_count,
     max_sum,
     representation_counts,
@@ -19,7 +20,14 @@ from expsumlab import (
 )
 from expsumlab import subgroup
 from expsumlab.expsum import period_error
-from oracles import indicator, quadruple_loop_j, spread, subgroup_sum, tuple_count_T
+from oracles import (
+    coset_labels,
+    indicator,
+    quadruple_loop_j,
+    spread,
+    subgroup_sum,
+    tuple_count_T,
+)
 
 
 def test_subgroup_examples():
@@ -124,6 +132,31 @@ def test_residue_grid_empty():
         assert list(subgroup.residue_grid(np.multiply, r, c, 7, 3)) == []
 
 
+@pytest.mark.parametrize("block", [3, 64, 2**14])
+def test_residue_grid_writes_into_given_buffers(block):
+    # every block lands in out[0], its quotient in out[1], and the values are unchanged
+    r, c = np.arange(1, 40, dtype=np.int64), np.arange(-50, 50, dtype=np.int64)
+    out = np.empty((2, block), dtype=np.int64)
+    seen = np.zeros((r.size, c.size), dtype=np.int64)
+    for rows, cols, x in subgroup.residue_grid(np.multiply, r, c, 97, block, out):
+        assert np.shares_memory(x, out[0]) and not np.shares_memory(x, out[1])
+        seen[rows, cols] = x
+    assert np.array_equal(seen, np.multiply.outer(r, c) % 97)
+
+
+def test_coset_lookup_matches_oracle_labels_every_small_field():
+    # every residue of every field p < 300 and every H | p - 1, and residues
+    # given outside [0, p) land in the coset of their remainder
+    for p in (n for n in range(3, 300) if is_prime(n)):
+        x = np.arange(p, dtype=np.int64)
+        for h in divisors(p - 1):
+            index = subgroup_of_order(p, h).coset_index()
+            want = coset_labels(p, index.root, h)
+            assert np.array_equal(index.coset_of(x), want), (p, h)
+            assert np.array_equal(index.coset_of(x - p), want) and index.coset_of(p + 1) == 0
+            assert "labels" not in vars(index)
+
+
 def index_cosets(index) -> list[set[int]]:
     """The members of each coset, read off the index's power-table blocks."""
     cosets = [set() for _ in range(index.cosets)]
@@ -200,7 +233,7 @@ def test_coset_index_small_blocks(monkeypatch, block, p, h):
     mags = spread(index, table.coset_magnitudes, h)[1:]
     a_star = 1 + int(np.flatnonzero(mags >= mags.max() - 2 * period_error(h))[0])
     assert max_sum(sub, table=table) == (a_star, mags.max())
-    assert representation_counts(sub, 2).energy == tuple_count_T(elems, p, 2)
+    assert representation_counts(table, 2).energy == tuple_count_T(elems, p, 2)
 
 
 @given(st.sampled_from([13, 31, 61, 101, 181, 257]), st.data())
@@ -247,9 +280,9 @@ def test_coset_index_layers_against_oracles(case):
         assert mags[a] == mags[-a % p]  # |S_-a| = |S_a| exactly
     for m in (1, 2, 3):
         if h**m <= 20000:
-            assert representation_counts(sub, m).energy == tuple_count_T(elems, p, m), m
+            assert representation_counts(table, m).energy == tuple_count_T(elems, p, m), m
     pairs = Counter((h1 - h2) % p for h1 in elems for h2 in elems)
-    diff = difference_counts(sub)
+    diff = difference_counts(table)
     assert list(spread(diff.index, diff.per_coset, diff.at_zero)) == [pairs[d] for d in range(p)]
     iv = Interval(start, n_len)
     expected = quadruple_loop_j([int(v) for v in iv.residues(p)], elems, p)
