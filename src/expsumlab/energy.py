@@ -5,11 +5,11 @@ Every count here is constant on the multiplicative cosets of the subgroup,
 so it is evaluated and kept once per coset of the coset index, plus once at
 0; nothing of length p is returned.  The additive counts come from the
 Gaussian periods of the sum table by one length-M correlation each, rounded
-under a derived error bound, and from folds over the coset labels where
-that bound does not certify the rounding; the product counts read the coset
-of each interval residue.  Everything is integer-exact; the counts run in
-int64 (values are guaranteed to fit whenever the H^{2m} overflow guard
-passes, with a big-int fallback for the final squared sums).
+under a derived error bound and refused where that bound does not certify
+the rounding; the product counts read the coset of each interval residue.
+Everything is integer-exact; the counts run in int64 (values are guaranteed
+to fit whenever the H^{2m} overflow guard passes, with a big-int fallback
+for the final squared sums).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .expsum import Interval, SumTable, period_error
-from .subgroup import TABLE_BLOCK, CosetIndex, Subgroup, residue_grid
+from .expsum import Interval, SumTable
+from .subgroup import CosetIndex, Subgroup
 
 # Budget guard: ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
@@ -66,32 +66,6 @@ def _exact_square_sum(counts: np.ndarray, int64_safe: bool) -> int:
     return sum(int(c) * int(c) for c in counts[counts > 0])
 
 
-def _sums_at_cosets(
-    index: CosetIndex, per_coset: np.ndarray, at_zero: int, sign: int
-) -> tuple[np.ndarray, int]:
-    """(c, z) with c[j] = sum over h of f(g^j + sign*h) and z that sum at 0,
-    for f = per_coset[j] on coset j and at_zero at 0: M*H + H label lookups,
-    a residue_grid block at a time (steps are the subgroup's elements)."""
-    values = np.append(per_coset, at_zero)
-    points = np.concatenate(([0], index.reps))
-    sums = np.zeros(points.size, dtype=np.int64)
-    lab = np.empty(TABLE_BLOCK, dtype=index.labels.dtype)
-    for rows, _, x in residue_grid(np.add, points, sign * index.steps, index.p, TABLE_BLOCK):
-        np.take(values, np.take(index.labels, x, out=lab[: x.size].reshape(x.shape)), out=x)
-        sums[rows] += x.sum(axis=1)
-    return sums[1:], int(sums[0])
-
-
-def _folds(index: CosetIndex, m: int, sign: int) -> tuple[np.ndarray, int]:
-    """The count profile by m - 1 folds of r_1, the indicator of coset 0 (the
-    subgroup itself): of the sums h_1 + ... + h_m for sign -1, and of the
-    differences h_1 - h_2 for sign 1 and m = 2."""
-    per_coset, at_zero = (np.arange(index.cosets) == 0).astype(np.int64), 0
-    for _ in range(m - 1):
-        per_coset, at_zero = _sums_at_cosets(index, per_coset, at_zero, sign)
-    return per_coset, at_zero
-
-
 def _padded_length(cosets: int) -> int:
     """The least power of two at or above 2M - 1."""
     return 1 << (2 * cosets - 2).bit_length()
@@ -102,7 +76,7 @@ def correlation_error_bound(table: SumTable, m: int) -> float:
     representation_counts(table, m) rounds (for m = 2 also those of
     difference_counts(table)); derived in representation_counts."""
     p, order = table.p, table.order
-    u, d = 2.0**-53, period_error(order)
+    u, d = 2.0**-53, table.period_error
     b = table.coset_magnitudes + d
     bm = b**m
     alpha = m * d * b ** (m - 1) + 3 * m * u * bm
@@ -130,16 +104,19 @@ def _period_correlation(table: SumTable, f: np.ndarray, m: int) -> tuple[np.ndar
     return values, (float(order ** (m - 1)) + float(np.sum(f.real))) / p
 
 
-def _profile(table: SumTable, f: np.ndarray, m: int, sign: int) -> tuple[np.ndarray, int]:
-    """The correlation of f with the periods, rounded where
-    correlation_error_bound(table, m) certifies it, else the label folds;
+def _profile(table: SumTable, f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """The correlation of f with the periods, rounded once
+    correlation_error_bound(table, m) certifies it and refused otherwise;
     with the identities every count profile of m-fold sums satisfies."""
     order = table.order
-    if correlation_error_bound(table, m) < 0.5:
-        values, zero = _period_correlation(table, f, m)
-        per_coset, at_zero = np.rint(values).astype(np.int64), order * round(zero)
-    else:
-        per_coset, at_zero = _folds(table.index, m, sign)
+    bound = correlation_error_bound(table, m)
+    if bound >= 0.5:
+        raise ResourceError(
+            f"counts of {m}-fold sums at p = {table.p}, H = {order} are certified only "
+            f"within {bound:.3g}, not below 1/2"
+        )
+    values, zero = _period_correlation(table, f, m)
+    per_coset, at_zero = np.rint(values).astype(np.int64), order * round(zero)
     assert at_zero >= 0 and bool(np.all(per_coset >= 0)), "negative count"
     assert at_zero + order * int(np.sum(per_coset)) == order**m, "counts do not add up to H^m"
     return per_coset, at_zero
@@ -159,8 +136,8 @@ def representation_counts(table: SumTable, m: int) -> EnergyProfile:
     is one cyclic correlation, by FFT zero-padded to the least power of two
     n >= 2M - 1, whatever the factors of M.  Every entry is rounded to the
     nearest integer once correlation_error_bound(table, m) is below 1/2.
-    That bound, with u = 2^-53, d = period_error(H) and b_j = c_j + d for
-    the table's magnitudes c_j, adds:
+    That bound, with u = 2^-53, d the table's period_error and b_j = c_j + d
+    for the table's magnitudes c_j, adds:
     - the inputs: the computed period e_j is within d of eta_j (d bounds the
       complex error; see energy_via_moments), so |e_j| and |eta_j| are at
       most b_j, and e_j^m, taken by m - 1 complex products of relative error
@@ -185,13 +162,17 @@ def representation_counts(table: SumTable, m: int) -> EnergyProfile:
       powers (M*u*|b^m|_1), and the same final roundings, 4u (H^(m-1) +
       |b^m|_1);
     all over p, scaled by 1 + 1e-6 above the bound's own float error.
-    Where the bound is 1/2 or more, the profile comes from m - 1 folds of
-    the coset labels over all p residues, r_m(lam) = sum over h of
-    r_(m-1)(lam - h), exact in int64.  That happens where H is large: the
-    first term is about 1.5m*u*H^(1 + m/2), which nears 1/2 at H ~ 10^6 for
-    m = 3 (p = 9999991 with H = 1111110 or 1999998) and only far above it for
-    m = 2.  Either way every count is asserted to be at least 0 and the counts
-    to add up to H^m.
+    Where the bound is 1/2 or more the counts are refused with ResourceError
+    (exit 3), and nothing is rounded.  The bound grows with H: its first term
+    is about m*d*M*H^(m/2)/p, and all_sums adds each period as n_b block sums
+    of at most h rows, so d = H*u*(PHASE_ERROR + 2 + 1.5*(h - 1 + n_b)) stays
+    far below the H^2*u of one sequential sum.  For m = 3 it reads 0.0022 at
+    (p, H) = (9999991, 1111110), 0.0080 at (9999991, 1999998) and 0.0153 at
+    (4707931, 2353965), the largest found within the default dense limit;
+    with the dense limit raised to the int64 limit it reads 0.393 at
+    (3031903057, 2353962), and H^6 <= 2^127 caps H at 2353973.  So no input
+    measured is refused.  Every count is asserted to be at least 0 and the
+    counts to add up to H^m.
     """
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
@@ -201,7 +182,7 @@ def representation_counts(table: SumTable, m: int) -> EnergyProfile:
     f = table.eta
     for _ in range(m - 1):
         f = f * table.eta
-    per_coset, at_zero = _profile(table, f, m, -1)
+    per_coset, at_zero = _profile(table, f, m)
     if m == 2:
         # h1 + h2 = 0 has H solutions when -1 lies in H (even H), else none
         assert at_zero == (order if order % 2 == 0 else 0), "r_2(0) is not H or 0"
@@ -214,7 +195,7 @@ def difference_counts(table: SumTable) -> DifferenceProfile:
     """Ordered pairs (h1, h2) by their difference h1 - h2, once per coset:
     representation_counts at m = 2 with |eta_j|^2 in place of eta_j^2."""
     order = table.order
-    per_coset, at_zero = _profile(table, table.coset_magnitudes**2, 2, 1)
+    per_coset, at_zero = _profile(table, table.coset_magnitudes**2, 2)
     assert at_zero == order, "h1 - h2 = 0 has H solutions"
     energy = at_zero * at_zero + order * _exact_square_sum(per_coset, order**4 < 2**62)
     return DifferenceProfile(table.p, energy, per_coset, at_zero, table.index)
@@ -234,15 +215,22 @@ def energy_via_moments(table: SumTable, m: int) -> float:
       within an ulp, at most u, each (2*sqrt(2)*u for the two entries); and
       the complex product of two entries of modulus 1 + O(u) adds at most
       2*sqrt(2)*u: 24.5u plus terms of order u^2;
-    - each period is a sum of H such phases added in any order
-      (componentwise at most (H-1)u times H, so sqrt(2)*(H-1)*u*H), so the
-      table's period is within H*u*(PHASE_ERROR + 1.5*H) of eta_j, and its
+    - all_sums adds each period as n_b block sums of at most h rows each:
+      a block sum of its terms, taken in any order, is componentwise within
+      (h-1)u times the sum of their moduli, and each of the n_b additions
+      into the period rounds within u times the running sum, itself at most
+      the sum of the moduli of all its terms.  Over H phases of modulus
+      1 + O(u) that is componentwise (h - 1 + n_b)*u*H, so
+      sqrt(2)*(h - 1 + n_b)*u*H for the complex period, and the table's
+      period is within H*u*(PHASE_ERROR + 1.5*(h - 1 + n_b)) of eta_j; its
       magnitude adds at most 2u*H: the table's c_j is within
-      d = period_error(H) = H*u*(PHASE_ERROR + 2 + 1.5*H) of |eta_j|, and
-      its period within d of eta_j.
+      d = period_error = H*u*(PHASE_ERROR + 2 + 1.5*(h - 1 + n_b)) of
+      |eta_j|, and its period within d of eta_j.  all_sums reads h and n_b
+      off the blocks its loop adds and stores d in the table.
       Halving the table adds nothing: conjugating a period is exact, and
-      for even H the period is 2 Re of a sum of H/2 phases, within twice the
-      bound for H/2 terms, which is within the bound for H terms.  So
+      for even H the period is 2 Re of a sum of H/2 phases in blocks of the
+      same h and n_b, within twice the bound for H/2 terms, which is the
+      bound for H terms.  So
       c_j^{2m} is within 2m*d*(c_j + d)^{2m-1} of |eta_j|^{2m}, and its own
       evaluation adds 2m*u*c_j^{2m};
     - the sum of the M powers adds at most M*u times their sum, and
@@ -263,7 +251,7 @@ def energy_via_moments(table: SumTable, m: int) -> float:
 def moment_error_bound(table: SumTable, m: int) -> float:
     """Bound on |energy_via_moments(table, m) - T_m|, derived there."""
     order, c, k = table.order, table.coset_magnitudes, 2 * m
-    u, d = 2.0**-53, period_error(table.order)
+    u, d = 2.0**-53, table.period_error
     periods = k * d * float(np.sum((c + d) ** (k - 1))) + (k + c.size) * u * float(np.sum(c**k))
     return (order * periods / table.p + 4 * u * energy_via_moments(table, m)) * (1 + 1e-6)
 

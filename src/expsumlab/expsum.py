@@ -26,13 +26,6 @@ from .subgroup import DEFAULT_DENSE_LIMIT, TABLE_BLOCK, CosetIndex, Subgroup, re
 PHASE_ERROR = 29
 
 
-def period_error(order: int) -> float:
-    """d = H*u*(PHASE_ERROR + 2 + 1.5H): every period of all_sums lies within
-    d of the exact eta_j, and its coset magnitude c_j within d of |eta_j|
-    (derived in energy.energy_via_moments)."""
-    return order * 2.0**-53 * (PHASE_ERROR + 2 + 1.5 * order)
-
-
 @dataclass(frozen=True)
 class Interval:
     """N consecutive residues start+1, ..., start+N taken mod p."""
@@ -52,7 +45,10 @@ class SumTable:
 
     eta[j] is the Gaussian period S_(g^j) of coset j of the coset index and
     coset_magnitudes[j] = |eta_j| the common magnitude on that coset; S_a is
-    eta[index.coset_of(a)] for a != 0, and S_0 is the subgroup order.
+    eta[index.coset_of(a)] for a != 0, and S_0 is the subgroup order.  Every
+    eta[j] lies within period_error of the exact period, and every
+    coset_magnitudes[j] within it of |eta_j| (derived in
+    energy.energy_via_moments from the blocks all_sums adds).
     """
 
     p: int
@@ -60,6 +56,7 @@ class SumTable:
     coset_magnitudes: np.ndarray
     eta: np.ndarray
     index: CosetIndex = field(repr=False)
+    period_error: float
     strategy = "direct"  # one sum per coset; not a field
 
 
@@ -95,7 +92,9 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     -1 = g^((p-1)/2) halves the work: for odd H it is g^(M/2) times a member
     of H, so coset j + M/2 is minus coset j and only columns j < M/2 are
     summed; for even H it lies in H, so row i + H/2 is minus row i and only
-    rows i < H/2 are summed.
+    rows i < H/2 are summed.  A period is the sum of the block sums of its
+    column, so the table's period_error is read off the shapes of the blocks
+    this loop adds (derived in energy.energy_via_moments).
     """
     p, order = sub.p, sub.order
     if p > dense_limit:
@@ -109,32 +108,38 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     # buffers reused by every block
     quo = np.empty(TABLE_BLOCK, dtype=np.int64)
     high, low = np.empty((2, TABLE_BLOCK), dtype=np.complex128)
+    # the most rows a block sums, and the block sums added into one period:
+    # every column is tiled by the same rows as column 0
+    height, adds = 1, 0
     for cols, block in index.blocks(cols=m // 2) if odd else index.blocks(rows=order // 2):
         n, shape = block.size, block.shape
+        if cols.start == 0:
+            height, adds = max(height, shape[0]), adds + 1
         q = np.right_shift(block, shift, out=quo[:n].reshape(shape))
         z = np.take(hi, q, out=high[:n].reshape(shape), mode="clip")
         r = np.bitwise_and(block, mask, out=block)
         w = np.take(lo, r, out=low[:n].reshape(shape), mode="clip")
         np.multiply(z, w, out=z)
         eta[cols] += z[0] if shape[0] == 1 else z.sum(axis=0)
+    error = order * 2.0**-53 * (PHASE_ERROR + 2 + 1.5 * (height - 1 + adds))
     if odd:
         # conjugate cosets share their magnitudes, so |S_-a| = |S_a| exactly
         eta = np.concatenate((eta, eta.conj()))
-        return SumTable(p, order, np.tile(np.abs(eta[: m // 2]), 2), eta, index)
+        return SumTable(p, order, np.tile(np.abs(eta[: m // 2]), 2), eta, index, error)
     eta = (2 * eta.real).astype(np.complex128)
-    return SumTable(p, order, np.abs(eta.real), eta, index)
+    return SumTable(p, order, np.abs(eta.real), eta, index, error)
 
 
 def max_sum(sub: Subgroup, table: SumTable | None = None) -> tuple[int, float]:
     """(a*, max over a != 0 of |S_a|).  a* is the least member of the cosets
-    whose magnitude is within 2 * period_error(H) of the maximum: every coset
-    whose true |eta_j| attains the true maximum is among them, so a* does not
-    depend on the last bits of the table."""
+    whose magnitude is within twice the table's period_error of the maximum:
+    every coset whose true |eta_j| attains the true maximum is among them, so
+    a* does not depend on the last bits of the table."""
     if table is None:
         table = all_sums(sub)
     c = table.coset_magnitudes
     best = c.max()
-    reps = table.index.reps[c >= best - 2 * period_error(sub.order)]
+    reps = table.index.reps[c >= best - 2 * table.period_error]
     grid = residue_grid(np.multiply, reps, sub.elements, sub.p, TABLE_BLOCK)
     a_star = min(int(x.min()) for _, _, x in grid)
     return a_star, float(best)

@@ -16,11 +16,11 @@ from .field import PrimeModulus, primitive_root
 # same-sized temporary while they are sorted).
 ELEMENT_LIMIT = 10**7
 # Largest p for which the coset index and the sum table are built.  Neither
-# holds an array of length p; only the coset labels of the energy folds do.
+# holds an array of length p.
 DEFAULT_DENSE_LIMIT = 10**7
-# Entries per residue_grid block of the power table (the sum table and the
-# coset labels), the energy folds and the a* search: small enough to stay in
-# cache, so no block faults in fresh pages.
+# Entries per residue_grid block of the power table (the sum table) and of
+# the a* search: small enough to stay in cache, so no block faults in fresh
+# pages.
 TABLE_BLOCK = 2**14
 # Largest p - 1 whose square fits in int64.  The coset index and the literal
 # trilinear check multiply two residues in int64, which wraps above it.
@@ -73,10 +73,7 @@ class CosetIndex:
     The power table g^(iM+j), laid out as an H x M matrix whose column j is
     coset j, is never stored: reps[j] = g^j (coset 0 is the subgroup) and
     steps[i] = g^(iM) give it a block at a time.  coset_of(x) is the coset
-    of each residue x, M for x = 0, in O(M) memory.  labels is the same map
-    as a 4p-byte array over all residues, built on first use; only the
-    energy folds read it, where the correlation of energy.representation_counts
-    cannot certify its rounding.
+    of each residue x, M for x = 0, in O(M) memory.
     """
 
     p: int
@@ -97,15 +94,6 @@ class CosetIndex:
         return ((cs, block) for _, cs, block in grid)
 
     @cached_property
-    def labels(self) -> np.ndarray:
-        out = np.empty(self.p, dtype=np.int32 if self.p < 2**31 else np.int64)
-        out[0] = self.cosets
-        coset = np.arange(self.cosets, dtype=out.dtype)
-        for cols, block in self.blocks():
-            out[block] = coset[cols]
-        return out
-
-    @cached_property
     def _power_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys, cosets): keys = 0 and the M residues g^(jH), sorted, and
         cosets[i] the j of keys[i] (M for the key 0)."""
@@ -115,7 +103,7 @@ class CosetIndex:
         return np.append(0, powers[order]), np.append(m, order)
 
     def coset_of(self, residues) -> np.ndarray:
-        """The coset of each residue, M for 0, without labels: x = g^k has
+        """The coset of each residue, M for 0: x = g^k has
         x^H = g^(kH), and g^H has order M, so x^H = g^(jH) exactly when
         k = j mod M.  x^H is taken by square-and-multiply in int64 (at most
         2 log2 H products a residue) and found by bisection among the M powers

@@ -14,6 +14,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 
+import mpmath
 import numpy as np
 
 from expsumlab.errors import InputError, ResourceError
@@ -48,6 +49,12 @@ def subgroup_sum(a: int, elements, p: int) -> complex:
     return sum(phase(a * int(x), p) for x in elements)
 
 
+def exact_sum(a: int, elements, p: int) -> mpmath.mpc:
+    """S_a to 40 significant digits, as an mpmath complex."""
+    with mpmath.workdps(40):
+        return mpmath.fsum(mpmath.expjpi(mpmath.mpf(2 * (a * int(x) % p)) / p) for x in elements)
+
+
 def indicator(sub) -> np.ndarray:
     """The 0/1 indicator of the subgroup over all p residues, from its elements alone."""
     out = np.zeros(sub.p, dtype=np.int64)
@@ -79,6 +86,34 @@ def spread(index, per_coset, at_zero) -> np.ndarray:
     that tests can compare values the package computed once per coset with
     the oracles here residue by residue."""
     return np.append(per_coset, at_zero)[coset_labels(index.p, index.root, index.order)]
+
+
+def cyclotomic_counts(p: int, root: int, elements, sign: int = 1) -> np.ndarray:
+    """c[k] = #{(h1, h2) : h1 + sign*h2 = root^k} for k < M, and c[M] the
+    count at 0, by the cyclotomic identity: with h2 = h1*t the sums are
+    h1*(1 + t), and with h1 = h2*t the differences are h2*(t - 1).  For
+    lam != 0 each t whose t + sign lies in the coset of lam gives exactly one
+    pair, and t + sign = 0 gives H pairs at 0.  The cosets are read off
+    coset_labels, built from the primitive root alone: H lookups."""
+    h = len(elements)
+    m = (p - 1) // h
+    t = np.asarray(elements, dtype=np.int64)
+    counts = np.bincount(coset_labels(p, root, h)[(t + sign) % p], minlength=m + 1)
+    counts[m] *= h
+    return counts
+
+
+def cyclotomic_r3(p: int, root: int, elements) -> np.ndarray:
+    """c[k] = r_3(root^k) for k < M and c[M] = r_3(0), as in cyclotomic_counts,
+    from r_3(lam) = sum over h of r_2(lam - h) with r_2 read through
+    coset_labels: M*H + H lookups, for M small (M = 2 at H = (p - 1)/2)."""
+    h = len(elements)
+    m = (p - 1) // h
+    t = np.asarray(elements, dtype=np.int64)
+    labels = coset_labels(p, root, h)
+    r2 = cyclotomic_counts(p, root, elements)
+    points = [pow(root, k, p) for k in range(m)] + [0]
+    return np.array([int(r2[labels[(x - t) % p]].sum()) for x in points], dtype=np.int64)
 
 
 def fold_counts(p: int, elements, m: int, sign: int = 1) -> np.ndarray:

@@ -4,11 +4,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from expsumlab import CosetIndex, InputError, cli, prooftrace, subgroup_of_order
+from expsumlab import InputError, cli, prooftrace, subgroup_of_order
 from expsumlab.cli import (
     CSV_HEADER,
     EXIT_BAD_INPUT,
@@ -367,14 +368,11 @@ class TestScanCommand:
             assert abs(fft_mags[r["a_star"]] - r["max_abs_sum"]) <= 1e-6 * h
 
 
-def test_commands_build_no_coset_labels(monkeypatch, capsys):
-    """scan, trace and an energy whose correlation is certified never read the
-    4p-byte coset labels: any read of them raises for the length of the runs."""
-
-    def refused(index):
-        raise AssertionError("coset labels built")
-
-    monkeypatch.setattr(CosetIndex, "labels", property(refused))
+def test_commands_answer_below_the_label_bytes(capsys):
+    """scan, trace and energy answer every case by the certified correlation
+    (a refused case warns or exits 3), and energy at H ~ 10^6 peaks below
+    4p bytes under tracemalloc, the size of an int32 coset label for every
+    residue (measured: 26.2 MB at p = 9999991, against 40 MB)."""
     runs = [
         ["scan", "--p-min", "200000", "--p-max", "200100", "--alpha-lo", "0.4",
          "--m", "2,3", "--interval-power", "0.5"],
@@ -386,6 +384,15 @@ def test_commands_build_no_coset_labels(monkeypatch, capsys):
     for argv in runs:
         assert run_cli(*argv) == EXIT_OK, argv
         assert "warning" not in capsys.readouterr().err, argv
+    p = 9999991
+    tracemalloc.start()
+    try:
+        code = run_cli("energy", "--prime", str(p), "--order", "1111110", "--m", "3")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and "T_3 = " in capsys.readouterr().out
+    assert peak < 4 * p
 
 
 class TestSubprocessInterface:

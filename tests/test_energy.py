@@ -22,8 +22,12 @@ from expsumlab import (
 from expsumlab import energy, is_prime
 from expsumlab.energy import _period_correlation, correlation_error_bound
 from expsumlab.expsum import PHASE_ERROR, phase_tables
+from expsumlab.cli import EXIT_BUDGET, main
 from oracles import (
     brute_force_T,
+    coset_labels,
+    cyclotomic_counts,
+    cyclotomic_r3,
     fold_counts,
     indicator,
     quadruple_loop_j,
@@ -124,29 +128,46 @@ class TestCorrelationRoute:
                         assert prof.energy == brute_force_T(sub, m), (p, h, m)
 
     @pytest.mark.parametrize("p,h", [(1009, 21), (1009, 48), (4003, 23), (13, 12)])
-    def test_fold_fallback_where_the_bound_is_forced(self, monkeypatch, p, h):
-        # a bound at 1/2 sends every profile to the label folds, with the same counts
+    def test_refused_where_the_bound_is_not_below_one_half(self, monkeypatch, capsys, p, h):
+        # a bound at 1/2 certifies no rounding: the counts and the energy command
+        # refuse with the bound in the message, and no T_m is printed
         table = all_sums(subgroup_of_order(p, h))
-        certified = profiles(table)
-        assert "labels" not in vars(table.index)
         monkeypatch.setattr(energy, "correlation_error_bound", lambda table, m: 0.5)
-        for (name, _, want, _), (_, _, got, _) in zip(certified, profiles(table)):
-            assert np.array_equal(got.per_coset, want.per_coset), name
-            assert (got.at_zero, got.energy) == (want.at_zero, want.energy), name
-        assert "labels" in vars(table.index)
+        for m in (1, 2, 3):
+            with pytest.raises(ResourceError, match="within 0.5"):
+                representation_counts(table, m)
+        with pytest.raises(ResourceError, match="within 0.5"):
+            difference_counts(table)
+        assert main(["energy", "--prime", str(p), "--order", str(h), "--m", "3"]) == EXIT_BUDGET
+        out, err = capsys.readouterr()
+        assert "within 0.5" in err and "T_" not in out
 
-    def test_fold_fallback_where_the_bound_fails(self):
-        # H = 1400000, M = 2: the bound for r_3 is above 1/2, so the folds answer;
-        # the correlation, rounded anyway, gives the same counts
+    def test_cyclotomic_oracle_against_folds_every_small_field(self):
+        for p in (n for n in range(3, 120) if is_prime(n)):
+            for h in divisors(p - 1):
+                sub = subgroup_of_order(p, h)
+                root, elems = sub.coset_index().root, [int(v) for v in sub.elements]
+                labels = coset_labels(p, root, h)
+                for sign in (1, -1):
+                    want = fold_counts(p, elems, 2, sign)
+                    assert np.array_equal(cyclotomic_counts(p, root, elems, sign)[labels], want)
+                want = fold_counts(p, elems, 3)
+                assert np.array_equal(cyclotomic_r3(p, root, elems)[labels], want), (p, h)
+
+    def test_large_order_against_the_cyclotomic_oracle(self):
+        # H = 1400000, M = 2: the certified correlation answers r_2, r_3 and the
+        # difference counts, and each equals the cyclotomic oracle
         p, h = 2800001, 1400000
-        table = all_sums(subgroup_of_order(p, h))
-        assert correlation_error_bound(table, 3) >= 0.5 > correlation_error_bound(table, 2)
-        prof = representation_counts(table, 3)
-        assert "labels" in vars(table.index)
-        values, zero = _period_correlation(table, table.eta * table.eta * table.eta, 3)
-        assert np.array_equal(np.rint(values).astype(np.int64), prof.per_coset)
-        assert h * round(zero) == prof.at_zero
-        assert prof.at_zero + h * int(prof.per_coset.sum()) == h**3
+        sub = subgroup_of_order(p, h)
+        table = all_sums(sub)
+        root = table.index.root
+        assert correlation_error_bound(table, 3) < 0.5
+        for prof, want in (
+            (representation_counts(table, 2), cyclotomic_counts(p, root, sub.elements)),
+            (difference_counts(table), cyclotomic_counts(p, root, sub.elements, -1)),
+            (representation_counts(table, 3), cyclotomic_r3(p, root, sub.elements)),
+        ):
+            assert np.array_equal(np.append(prof.per_coset, prof.at_zero), want)
 
 
 class TestCorrelationErrorBound:
@@ -169,7 +190,7 @@ class TestCorrelationErrorBound:
         # its stated term, 2 * FFT_ERROR * (log2 n + 1) * u * |f|_2 |g|_1 + u |f|_2 |g|_2
         a, b, c, d = np.random.default_rng(cosets).integers(-1000, 1001, (4, cosets))
         f, g = a + 1j * b, c + 1j * d
-        table = SumTable(1, 0, np.abs(g), g, None)  # H = 0 and p = 1 leave the bare correlation
+        table = SumTable(1, 0, np.abs(g), g, None, 0.0)  # H = 0 and p = 1 leave the bare correlation
         values, _ = _period_correlation(table, f, 1)
         # the real part of sum over j of f[j] * conj(g[j + k]), in int64
         exact = np.array([a @ np.roll(c, -k) + b @ np.roll(d, -k) for k in range(cosets)])
@@ -178,6 +199,10 @@ class TestCorrelationErrorBound:
         term = 2 * energy.FFT_ERROR * (np.log2(n) + 1) * u * norm_f * float(np.sum(np.abs(g)))
         term += u * norm_f * float(np.linalg.norm(g))
         assert float(np.max(np.abs(values - exact))) <= term
+
+    @pytest.mark.parametrize("p,h", [(9999991, 1999998), (9415837, 2353959)])
+    def test_bound_below_one_half_at_the_largest_orders(self, p, h):
+        assert correlation_error_bound(all_sums(subgroup_of_order(p, h)), 3) < 0.5
 
     @pytest.mark.parametrize("p,h", [(101, 10), (1009, 21), (16111, 18)])
     def test_period_perturbed_past_the_bound_is_refused(self, p, h):

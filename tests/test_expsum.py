@@ -18,7 +18,7 @@ from expsumlab import (
     single_sum,
     subgroup_of_order,
 )
-from expsumlab.expsum import period_error, phase_tables
+from expsumlab.expsum import phase_tables
 from expsumlab.subgroup import TABLE_BLOCK
 from oracles import indicator, naive_dft, parseval_defect, spread, subgroup_sum
 
@@ -167,7 +167,7 @@ class TestAllSums:
         a_star, best = max_sum(sub, table)
         top = fft_mags[1:].max()
         assert abs(best - top) <= 1e-6 * h
-        assert a_star == 1 + np.flatnonzero(fft_mags[1:] >= top - 2 * period_error(h))[0]
+        assert a_star == 1 + np.flatnonzero(fft_mags[1:] >= top - 2 * table.period_error)[0]
 
     @settings(max_examples=40)
     @given(st.sampled_from([13, 31, 61, 101, 181, 257]), st.data())
@@ -273,7 +273,7 @@ class TestIntervalSubgroupSum:
 
 def test_max_sum_allocates_nothing_of_length_p():
     """The sum maximum at p ~ 10^7 holds O(M + sqrt(p)) memory: no per-residue
-    array, and the coset labels (4p bytes) are never written."""
+    array."""
     p, h = 9999991, 99
     tracemalloc.start()
     try:
@@ -283,4 +283,18 @@ def test_max_sum_allocates_nothing_of_length_p():
     finally:
         tracemalloc.stop()
     assert peak < 64 * ((p - 1) // h) + 2**21
-    assert "labels" not in vars(sub.coset_index())
+
+
+@pytest.mark.parametrize("p,h", [(2800001, 1400000), (9999991, 1111110)])
+def test_periods_within_the_stored_error(p, h):
+    """The first and last periods lie within the table's period_error of S_a.
+    single_sum is itself within 30*u*H of S_a: each angle carries three
+    roundings (at most 6*pi*u), its cosine and sine an ulp, and math.fsum
+    rounds once."""
+    sub = subgroup_of_order(p, h)
+    table = all_sums(sub)
+    tol = table.period_error + 30 * 2.0**-53 * h
+    for j in (0, table.index.cosets - 1):
+        s = single_sum(int(table.index.reps[j]), sub)
+        assert abs(table.eta[j] - s) <= tol, j
+        assert abs(table.coset_magnitudes[j] - abs(s)) <= tol, j

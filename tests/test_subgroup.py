@@ -19,9 +19,9 @@ from expsumlab import (
     subgroup_of_order,
 )
 from expsumlab import subgroup
-from expsumlab.expsum import period_error
 from oracles import (
     coset_labels,
+    exact_sum,
     indicator,
     quadruple_loop_j,
     spread,
@@ -110,9 +110,9 @@ def test_coset_index_examples():
 @pytest.mark.parametrize("op", [np.multiply, np.add])
 @pytest.mark.parametrize("rows,cols", [(1, 1), (5, 2), (2, 5), (7, 70), (70, 7), (130, 130), (2, 20000)])
 def test_residue_grid(block, op, rows, cols):
-    """Against the whole outer table mod n, with rows of both signs as the
-    sign = -1 folds of the energies have: columns outer, rows inner, at most
-    `block` entries a block, every entry in exactly one block."""
+    """Against the whole outer table mod n, with rows of both signs (each
+    block is reduced into [0, n) either way): columns outer, rows inner, at
+    most `block` entries a block, every entry in exactly one block."""
     n = 1009
     rng = np.random.default_rng(1000 * rows + cols)
     r, c = rng.integers(-n + 1, n, rows), rng.integers(0, n, cols)
@@ -154,7 +154,6 @@ def test_coset_lookup_matches_oracle_labels_every_small_field():
             want = coset_labels(p, index.root, h)
             assert np.array_equal(index.coset_of(x), want), (p, h)
             assert np.array_equal(index.coset_of(x - p), want) and index.coset_of(p + 1) == 0
-            assert "labels" not in vars(index)
 
 
 def index_cosets(index) -> list[set[int]]:
@@ -176,10 +175,11 @@ def test_coset_index_partition(p, h):
     assert [int(v) for v in index.reps] == [pow(g, j, p) for j in range(m)]
     assert [int(v) for v in index.steps] == [pow(g, i * m, p) for i in range(h)]
     # coset j is {g^(j + iM)}: it has H members, all labelled j, and is rep_j * H
+    labels = coset_labels(p, g, h)
     seen = set()
     for j, coset in enumerate(index_cosets(index)):
         assert len(coset) == h
-        assert {int(index.labels[v]) for v in coset} == {j}
+        assert {int(labels[v]) for v in coset} == {j}
         assert coset == {int(v) for v in (int(index.reps[j]) * sub.elements) % p}
         assert not coset & seen
         seen |= coset
@@ -214,9 +214,10 @@ def test_coset_index_small_blocks(monkeypatch, block, p, h):
     for _, chunk in index.blocks():
         assert chunk.size <= block
     elems = [int(v) for v in sub.elements]
+    labels = coset_labels(p, index.root, h)
     for j, coset in enumerate(index_cosets(index)):
         assert coset == {int(v) for v in (int(index.reps[j]) * sub.elements) % p}
-        assert {int(index.labels[v]) for v in coset} == {j}
+        assert {int(labels[v]) for v in coset} == {j}
     rows, cols = (h, index.cosets // 2) if h % 2 else (h // 2, index.cosets)
     entries = Counter()
     for cs, chunk in index.blocks(rows=rows, cols=cols):
@@ -229,9 +230,14 @@ def test_coset_index_small_blocks(monkeypatch, block, p, h):
     assert_period_symmetry(table)
     fft = np.conj(np.fft.fft(indicator(sub).astype(np.float64)))
     assert np.max(np.abs(spread(index, table.eta, h) - fft)) <= 1e-9 * h
+    # the period error read off these blocks covers every period
+    for j, rep in enumerate(index.reps):
+        exact = exact_sum(int(rep), sub.elements, p)
+        assert abs(table.eta[j] - exact) <= table.period_error, j
+        assert abs(table.coset_magnitudes[j] - abs(exact)) <= table.period_error, j
     # a* is the least residue within twice the period error of the maximum
     mags = spread(index, table.coset_magnitudes, h)[1:]
-    a_star = 1 + int(np.flatnonzero(mags >= mags.max() - 2 * period_error(h))[0])
+    a_star = 1 + int(np.flatnonzero(mags >= mags.max() - 2 * table.period_error)[0])
     assert max_sum(sub, table=table) == (a_star, mags.max())
     assert representation_counts(table, 2).energy == tuple_count_T(elems, p, 2)
 
