@@ -448,71 +448,89 @@ def _env_threads() -> int:
         return 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_common(sp, order_required=True):
+    sp.add_argument("--prime", type=int, required=True, help="odd prime modulus p")
+    sp.add_argument(
+        "--order",
+        type=int,
+        required=order_required,
+        help="subgroup order H (must divide p-1)",
+    )
+    sp.add_argument(
+        "--dense-limit",
+        type=int,
+        default=DEFAULT_DENSE_LIMIT,
+        help="largest p for which dense length-p tables are allowed",
+    )
+
+
+def _sum_arguments(sp):
+    _add_common(sp)
+    sp.add_argument("--a", type=int, default=None, help="residue a (default: maximize)")
+
+
+def _energy_arguments(sp):
+    _add_common(sp)
+    sp.add_argument("--m", type=int, default=2, help="fold count m in {1,2,3}")
+
+
+def _scan_arguments(sp):
+    sp.add_argument("--p-min", type=int, required=True)
+    sp.add_argument("--p-max", type=int, required=True)
+    sp.add_argument("--alpha-lo", type=float, default=0.25, help="window: log H / log p >= alpha-lo")
+    sp.add_argument("--alpha-hi", type=float, default=0.5, help="window: log H / log p <= alpha-hi")
+    sp.add_argument("--m", type=str, default="", help="comma list of moments to compute (2,3)")
+    sp.add_argument("--interval-start", type=int, default=None)
+    sp.add_argument("--interval-length", type=int, default=None)
+    sp.add_argument("--interval-power", type=float, default=None, help="N = round(p^power)")
+    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    sp.add_argument("--output", type=str, default=None)
+    sp.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
+
+
+def _trace_arguments(sp):
+    _add_common(sp)
+    sp.add_argument("--a", type=int, default=None, help="residue a (default: maximize)")
+    sp.add_argument("--interval-start", type=int, default=None)
+    sp.add_argument("--interval-length", type=int, default=None)
+    sp.add_argument("--trilinear-budget", type=int, default=DEFAULT_TRILINEAR_BUDGET)
+    sp.add_argument("--output", type=str, default=None)
+
+
+# name: (help, command, the function adding its arguments)
+COMMANDS = {
+    "sum": ("single or maximal |S_a| plus the closed-form bound", cmd_sum, _sum_arguments),
+    "energy": ("exact T_m with the moment-identity cross-check", cmd_energy, _energy_arguments),
+    "scan": ("sweep (p, H) cases and emit CSV/JSON rows plus fits", cmd_scan, _scan_arguments),
+    "trace": ("run the dyadic cascade and report every check", cmd_trace, _trace_arguments),
+    "identities": ("verify the exact rational exponent identities", cmd_identities, None),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command is listed with its help, but when
+    argv starts with a command only that command gets its arguments, as
+    adding them is most of the parser's build time; with argv None, or not
+    starting with a command (no command, --help, a typo), every command does.
+    Either way argv parses, and every usage, help and error reads, the same."""
     parser = argparse.ArgumentParser(
         prog="expsumlab",
         description="exponential sums over multiplicative subgroups of prime fields",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, order_required=True):
-        sp.add_argument("--prime", type=int, required=True, help="odd prime modulus p")
-        sp.add_argument(
-            "--order",
-            type=int,
-            required=order_required,
-            help="subgroup order H (must divide p-1)",
-        )
-        sp.add_argument(
-            "--dense-limit",
-            type=int,
-            default=DEFAULT_DENSE_LIMIT,
-            help="largest p for which dense length-p tables are allowed",
-        )
-
-    p_sum = sub.add_parser("sum", help="single or maximal |S_a| plus the closed-form bound")
-    add_common(p_sum)
-    p_sum.add_argument("--a", type=int, default=None, help="residue a (default: maximize)")
-    p_sum.set_defaults(func=cmd_sum)
-
-    p_energy = sub.add_parser("energy", help="exact T_m with the moment-identity cross-check")
-    add_common(p_energy)
-    p_energy.add_argument("--m", type=int, default=2, help="fold count m in {1,2,3}")
-    p_energy.set_defaults(func=cmd_energy)
-
-    p_scan = sub.add_parser("scan", help="sweep (p, H) cases and emit CSV/JSON rows plus fits")
-    p_scan.add_argument("--p-min", type=int, required=True)
-    p_scan.add_argument("--p-max", type=int, required=True)
-    p_scan.add_argument("--alpha-lo", type=float, default=0.25, help="window: log H / log p >= alpha-lo")
-    p_scan.add_argument("--alpha-hi", type=float, default=0.5, help="window: log H / log p <= alpha-hi")
-    p_scan.add_argument("--m", type=str, default="", help="comma list of moments to compute (2,3)")
-    p_scan.add_argument("--interval-start", type=int, default=None)
-    p_scan.add_argument("--interval-length", type=int, default=None)
-    p_scan.add_argument("--interval-power", type=float, default=None, help="N = round(p^power)")
-    p_scan.add_argument("--threads", type=int, default=None)
-    p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan.add_argument("--output", type=str, default=None)
-    p_scan.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_trace = sub.add_parser("trace", help="run the dyadic cascade and report every check")
-    add_common(p_trace)
-    p_trace.add_argument("--a", type=int, default=None, help="residue a (default: maximize)")
-    p_trace.add_argument("--interval-start", type=int, default=None)
-    p_trace.add_argument("--interval-length", type=int, default=None)
-    p_trace.add_argument("--trilinear-budget", type=int, default=DEFAULT_TRILINEAR_BUDGET)
-    p_trace.add_argument("--output", type=str, default=None)
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_ident = sub.add_parser("identities", help="verify the exact rational exponent identities")
-    p_ident.set_defaults(func=cmd_identities)
-
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (help_text, func, add_arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        if add_arguments is not None and named in (None, name):
+            add_arguments(sp)
+        sp.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     if getattr(args, "threads", None) is None and args.command == "scan":
         args.threads = _env_threads()
     try:

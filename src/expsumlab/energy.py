@@ -90,16 +90,25 @@ def correlation_error_bound(table: SumTable, m: int) -> float:
     return max(per_coset, at_zero) / p * (1 + 1e-6)
 
 
+def cyclic_correlation(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum over j of conj(f[j]) * g[(j + k) mod M] for every k < M = f.size,
+    by one FFT zero-padded to the least power of two n >= 2M - 1, whatever
+    the factors of M."""
+    cosets = f.size
+    n = _padded_length(cosets)
+    # lag t of the zero-padded correlation is sum over j of conj(f[j]) * g[j + t];
+    # cyclic lag k adds lags k and k - M, at t = k and t = n - M + k
+    corr = np.fft.ifft(np.conj(np.fft.fft(f, n)) * np.fft.fft(g, n))
+    cyclic = corr[:cosets]
+    cyclic[1:] += corr[n - cosets + 1 :]
+    return cyclic
+
+
 def _period_correlation(table: SumTable, f: np.ndarray, m: int) -> tuple[np.ndarray, float]:
     """The counts before rounding: (H^m + sum over j of f[j] * conj(eta[(j + k) mod M])) / p
     for every k, and (H^(m-1) + sum of f) / p, the count at 0 over H."""
     p, order, eta = table.p, table.order, table.eta
-    cosets, n = eta.size, _padded_length(eta.size)
-    # lag t of the zero-padded correlation is sum over j of f[j] * conj(eta[j + t]);
-    # cyclic lag k adds lags k and k - M, at t = k and t = n - M + k
-    corr = np.fft.ifft(np.conj(np.fft.fft(np.conj(f), n)) * np.fft.fft(np.conj(eta), n))
-    cyclic = corr[:cosets].real
-    cyclic[1:] += corr[n - cosets + 1 :].real
+    cyclic = cyclic_correlation(np.conj(f), np.conj(eta)).real
     values = (float(order**m) + cyclic) / p
     return values, (float(order ** (m - 1)) + float(np.sum(f.real))) / p
 

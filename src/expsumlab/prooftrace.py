@@ -23,8 +23,10 @@ residue 0 and entry 1 + k is coset k of the coset index, weighted by exact
 representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
 of cosets; they are expanded to residues only for the result and for the
 literal trilinear check.  That check (trilinear_eval) shares nothing with the
-spectral path but the sets: it sums its own phase table, once per distinct
-product a*z*x, which on these sets is at most |Z||X|/H products.
+spectral path but the sets and the subgroup's elements: it verifies that X
+and Y are unions of orbits of the subgroup, evaluates G(w) = sum over y of
+e(w*y/p) from its own phase tables once per distinct orbit of the products
+a*z*x (at most M + 1 of them), and holds nothing of length p.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .bounds import trilinear_bound
 from .energy import (
     EnergyProfile,
     IntervalProductProfile,
+    cyclic_correlation,
     difference_counts,
     j_count,
     representation_counts,
@@ -54,8 +57,10 @@ from .subgroup import Subgroup, check_int64_products, residue_grid
 
 REL_TOL = 1e-6
 DEFAULT_TRILINEAR_BUDGET = 10**9
-# Entries per block of the literal trilinear check's products and phases.
-TRILINEAR_BLOCK = 2**16
+# Entries per block of the literal trilinear check's products and phases: each
+# block buffer (64 KiB) stays below glibc's mmap threshold, so blocks reuse heap
+# pages rather than fault in fresh ones.
+TRILINEAR_BLOCK = 2**12
 
 
 class EmptyTraceError(RuntimeError):
@@ -252,17 +257,62 @@ def _slots(at_zero, per_coset: np.ndarray) -> np.ndarray:
     return np.concatenate(([at_zero], per_coset))
 
 
-def _correlate(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum over j of f[j] * g[(j + k) mod M] for every k, by FFT; f is real."""
-    return np.fft.ifft(np.conj(np.fft.fft(f)) * np.fft.fft(g))
-
-
 def _pair_sums(xc: np.ndarray, yc: np.ndarray, m: int) -> np.ndarray:
     """counts[c] = #{(i, j) in xc x yc : i + j = c mod m}, exact."""
     counts = np.zeros(m, dtype=np.int64)
     for _, _, x in residue_grid(np.add, xc, yc, m, 2**20):
         counts += np.bincount(x.ravel(), minlength=m)
     return counts
+
+
+def _orbit_mins(w: np.ndarray, elements: np.ndarray, p: int, closed: str | None = None) -> np.ndarray:
+    """The least of w*h mod p over h in elements, for each entry of w.
+
+    With closed, the name of a set, w is that set sorted, and must be
+    unchanged as a multiset by the product with each element (InputError
+    otherwise).  Each block of the grid holds whole rows w*h, which are
+    sorted and compared with w."""
+    mins = np.full(w.size, p, dtype=np.int64)
+    block = TRILINEAR_BLOCK if closed is None else max(TRILINEAR_BLOCK, w.size)
+    for _, cols, t in residue_grid(np.multiply, elements, w, p, block):
+        np.minimum(mins[cols], t.min(axis=0), out=mins[cols])
+        if closed is not None:
+            t.sort(axis=1)
+            if not np.all(t == w):
+                raise InputError(f"{closed} is not a union of orbits of the subgroup")
+    return mins
+
+
+def _first(keys: np.ndarray) -> np.ndarray:
+    """Where each value of a sorted array occurs first."""
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _product_orbits(c: np.ndarray, reps: np.ndarray, elements: np.ndarray, p: int) -> np.ndarray:
+    """out[i, j] = the least member of the orbit of c[i]*reps[j] mod p, as uint32."""
+    out = np.empty((c.size, reps.size), dtype=np.uint32)
+    for rows, cols, w in residue_grid(np.multiply, c, reps, p, TRILINEAR_BLOCK):
+        out[rows, cols] = _orbit_mins(w.ravel(), elements, p).reshape(w.shape)
+    return out
+
+
+def _phase_sums(u: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
+    """G(w) = sum over y of e(w*y/p) for each w in u, term by term: with
+    B = 2^k >= sqrt(p) each phase is e(hi*B/p) * e(lo/p) for r = w*y mod p =
+    hi*B + lo, from two tables of about sqrt(p) exponentials each."""
+    k = (int(p).bit_length() + 1) // 2
+    low = np.exp(np.arange(1 << k) * (2j * np.pi / p))
+    high = np.exp(np.arange(((p - 1) >> k) + 1) * (2j * np.pi * (1 << k) / p))
+    g = np.zeros(u.size, dtype=np.complex128)
+    buf = np.empty(TRILINEAR_BLOCK, dtype=np.complex128)
+    for rows, _, r in residue_grid(np.multiply, u, y, p, TRILINEAR_BLOCK):
+        phases = np.take(high, r >> k, out=buf[: r.size].reshape(r.shape), mode="clip")
+        phases *= np.take(low, np.bitwise_and(r, (1 << k) - 1, out=r))
+        g[rows] += phases.sum(axis=1)
+    return g
 
 
 def trilinear_eval(
@@ -272,24 +322,29 @@ def trilinear_eval(
     a: int,
     p: int,
     budget: int = DEFAULT_TRILINEAR_BUDGET,
+    subgroup: np.ndarray | None = None,
 ) -> float:
     """sum over z of |sum over (x, y) of e(a*x*y*z/p)| by direct evaluation.
 
     The literal sum, regrouped: with c_z = a*z mod p it is sum over z of
     |sum over x of G(c_z*x mod p)|, where G(w) = sum over y of e(w*y/p) is
-    evaluated term by term once for each distinct product w.  The distinct
-    products U are marked in a p-byte array; G is evaluated on U from a
-    length-p np.exp table and then written into that table at U, which is
-    not read again, so the per-z sums gather G directly.  That is 2|Z||X|
-    products (one pass to mark, one to gather) and |U||Y| phase terms, with
-    |U| <= min(p, |Z||X|): never more than |X||Y||Z| + 2|Z||X|.  No
-    FFT, coset index or pair count is used, so the check stays independent
-    of the spectral stage-3 values.  Memory: the 16p-byte table, the p-byte
-    mark, 24 bytes per distinct product (U and G) and block buffers of
-    TRILINEAR_BLOCK entries, one set shared by the three passes and reused by
-    every block.  The budget still counts all |X|*|Y|*|Z| terms.  A p whose
-    residue products overflow int64 is refused
-    (subgroup.check_int64_products).
+    evaluated term by term (_phase_sums).  Given the elements of a subgroup,
+    X and Y must be unchanged as multisets by the product with each element
+    (InputError otherwise; build_trace passes unions of cosets).  Then G is
+    the same at every point of an orbit wH, so X keeps the least member of
+    each orbit it meets with the number of its entries there, each product
+    c_z*x is mapped to the least member of its orbit, and G is evaluated once
+    for each distinct orbit U, found by a sort; the per-z sums gather G by
+    bisection in U.  Without a subgroup every orbit is one residue.  The work
+    is |X|*H products to verify X and find its orbits and |Y|*H to verify Y,
+    |Z|*|X| for the orbits of the products (|Z| times the orbits of X, times
+    H) and |U|*|Y| phase terms, with |U| at most (p - 1)/H + 1.  No FFT,
+    coset index or pair count is used, so the check stays independent of the
+    spectral stage-3 values.  Memory: 4 bytes per orbit product and per
+    distinct orbit (p < 2^32 below the int64 limit), 16 per G value, the two
+    phase tables and blocks of TRILINEAR_BLOCK entries; nothing of length p.
+    The budget still counts all |X|*|Y|*|Z| terms.  A p whose residue
+    products overflow int64 is refused (subgroup.check_int64_products).
     """
     x, y, z = (np.asarray(s, dtype=np.int64) for s in (x_set, y_set, z_set))
     if min(x.size, y.size, z.size) == 0:
@@ -299,28 +354,24 @@ def trilinear_eval(
         raise ResourceError(
             f"trilinear evaluation needs {x.size * y.size * z.size} terms, budget {budget}"
         )
-    x, y, c = x % p, y % p, int(a) % p * (z % p) % p
-    terms = np.empty(TRILINEAR_BLOCK, dtype=np.complex128)
-    grid = np.empty((2, TRILINEAR_BLOCK), dtype=np.int64)  # shared by the three passes
-
-    def sums(r: np.ndarray, col: np.ndarray, table: np.ndarray) -> np.ndarray:
-        """out[i] = sum over j of table[r[i] * col[j] mod p]."""
-        out = np.zeros(r.size, dtype=np.complex128)
-        for rows, _, w in residue_grid(np.multiply, r, col, p, TRILINEAR_BLOCK, grid):
-            t = np.take(table, w, out=terms[: w.size].reshape(w.shape), mode="clip")
-            out[rows] += t.sum(axis=1)
-        return out
-
-    mark = np.zeros(p, dtype=bool)
-    for _, _, w in residue_grid(np.multiply, c, x, p, TRILINEAR_BLOCK, grid):
-        mark[w] = True
-    u = np.flatnonzero(mark)
-    del mark  # before the table is built: the two never coexist
-    phases = np.arange(p, dtype=np.complex128)
-    np.exp(np.multiply(phases, 2j * np.pi / p, out=phases), out=phases)
-    phases[u] = sums(u, y, phases)  # G on U; the phase table is not read again
+    e = np.ones(1, dtype=np.int64) if subgroup is None else np.asarray(subgroup, dtype=np.int64) % p
+    x, y, c = np.sort(x % p), np.sort(y % p), int(a) % p * (z % p) % p
+    _orbit_mins(y, e, p, closed="Y")
+    keys = np.sort(_orbit_mins(x, e, p, closed="X"))
+    starts = np.flatnonzero(_first(keys))
+    reps, counts = keys[starts], np.diff(starts, append=keys.size)
+    mins = _product_orbits(c, reps, e, p)
+    u = np.sort(mins, axis=None)
+    u = u[_first(u)]
+    g = _phase_sums(u, y, p)
+    inner = np.empty(c.size, dtype=np.complex128)
+    step = max(1, TRILINEAR_BLOCK // reps.size)
+    for i in range(0, c.size, step):
+        terms = np.take(g, np.searchsorted(u, mins[i : i + step]))
+        terms *= counts
+        inner[i : i + step] = terms.sum(axis=1)
     total = comp = 0.0
-    for v in np.abs(sums(c, x, phases)).tolist():
+    for v in np.abs(inner).tolist():
         t = total + v
         comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
         total = t
@@ -461,7 +512,7 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
     # on coset k it is H * sum over the X-cosets j of mags[j + k].
     in_x = np.zeros(index.cosets)
     in_x[xc] = 1.0
-    val2 = _slots(float(H * nx), H * _correlate(in_x, mags).real)
+    val2 = _slots(float(H * nx), H * cyclic_correlation(in_x, mags).real)
     st2, yc = _stage(
         2, checks, H, val2, mults3, float(H), 0.5 * H * delta1_meas**3, nx,
         ("triangle_mass", H * sum_sx3, "mass >= H * sum over X of |S_{ax}|^3"),
@@ -477,7 +528,7 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
     # |sum over c of w_c * eta_{c + shift + k}| with exact counts w_c.
     w = H * _pair_sums(xc, yc, index.cosets)
     scale3 = float(nx) * float(ny)
-    v = _slots(scale3, np.abs(_correlate(w, np.roll(table.eta, -shift))))
+    v = _slots(scale3, np.abs(cyclic_correlation(w, np.roll(table.eta, -shift))))
     rdiff = r2 if H % 2 == 0 else difference_counts(table)
     mults2 = _slots(rdiff.at_zero, H * rdiff.per_coset)
     st3, zc = _stage(
@@ -510,7 +561,7 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
         note = "direct evaluation at one z per coset, times H, vs spectral stage-3 values"
     tri_direct = None
     if nx * ny * zs.size <= trilinear_budget:
-        tri = times * trilinear_eval(x, y, zs, a, p, budget=trilinear_budget)
+        tri = times * trilinear_eval(x, y, zs, a, p, trilinear_budget, sub.elements)
         checks.append(_check_close(name, tri, ts_spectral, note=note))
         tri_direct = tri if times == 1 else None
     tri_bound = trilinear_bound(nx, ny, nz, p)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -393,6 +394,56 @@ def test_commands_answer_below_the_label_bytes(capsys):
         tracemalloc.stop()
     assert code == EXIT_OK and "T_3 = " in capsys.readouterr().out
     assert peak < 4 * p
+
+
+# argv whose usage, help or error the lazy parser must print as the full one does
+PARSER_MESSAGES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["bogus"],
+    ["-h", "trace"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    ["trace"],
+    ["scan", "--p-min", "x"],
+    ["sum", "--prime", "13", "--order", "3", "--bogus"],
+    ["energy", "--prime", "13", "--m"],
+]
+# argv that parse, one at least for every command
+PARSER_ANSWERS = [
+    ["sum", "--prime", "13", "--order", "3", "--a", "2"],
+    ["energy", "--prime", "13", "--order", "3", "--m", "3"],
+    ["scan", "--p-min", "3", "--p-max", "9", "--m", "2,3", "--format", "json"],
+    ["trace", "--prime", "13", "--order", "3", "--interval-length", "4"],
+    ["identities"],
+]
+
+
+class TestLazyParser:
+    @pytest.mark.parametrize("argv", PARSER_MESSAGES, ids=lambda argv: " ".join(argv) or "nothing")
+    def test_messages_match_the_full_parser(self, argv, capsys):
+        def run(parser):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            printed = capsys.readouterr()
+            return exc.value.code, printed.out, printed.err
+
+        lazy = run(cli.build_parser(argv))
+        assert lazy == run(cli.build_parser())
+        assert lazy[1] or lazy[2]
+
+    @pytest.mark.parametrize("argv", PARSER_ANSWERS, ids=" ".join)
+    def test_namespaces_match_the_full_parser(self, argv):
+        assert vars(cli.build_parser(argv).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_only_the_named_command_gets_arguments(self):
+        def options(parser):
+            (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return {name: len(sp._actions) for name, sp in commands.choices.items()}
+
+        full, lazy = options(cli.build_parser()), options(cli.build_parser(["trace", "--prime", "13"]))
+        assert lazy == {name: full[name] if name == "trace" else 1 for name in full}
+        assert min(full[name] for name in full if name != "identities") > 1
 
 
 class TestSubprocessInterface:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsumlab import (
+    CosetIndex,
     EmptyTraceError,
+    InputError,
     Interval,
     ResourceError,
     all_sums,
@@ -21,6 +23,7 @@ from expsumlab import (
     max_sum,
     moment_inequality_check,
     representation_counts,
+    Subgroup,
     subgroup_of_order,
     trilinear_eval,
 )
@@ -158,26 +161,96 @@ class TestTrilinearEval:
             _triple_loop(x, y, z, a, p), abs=1e-9
         )
 
-    def test_passes_share_one_buffer_pair(self, monkeypatch):
-        # the mark, G on U and the per-z gather all write into one (2, block) array
-        buffers = []
-        real = prooftrace.residue_grid
+    @settings(max_examples=80)
+    @given(st.sampled_from([(13, 3), (13, 4), (31, 5), (31, 6), (37, 9), (37, 12), (61, 15), (61, 4)]), st.data())
+    def test_subgroup_orbits_match_triple_loop_property(self, case, data):
+        """Given the subgroup, on unions of its cosets: repeated orbits, whole
+        cosets of 0 and lone zeros, entries at or above p, a = 0 and a >= p,
+        odd and even H; Z is any list."""
+        p, h = case
+        elements = subgroup_of_order(p, h).elements
+        a = data.draw(st.integers(0, 2 * p), label="a")
 
-        def recorded(op, r, c, n, block, out=None):
-            buffers.append(out)
-            yield from real(op, r, c, n, block, out)
+        def draw(name):
+            reps = data.draw(st.lists(st.integers(0, 3 * p), min_size=1, max_size=3), label=name)
+            zeros = data.draw(st.lists(st.sampled_from([0, p, 2 * p]), max_size=2), label=f"{name} zeros")
+            return [r * int(e) for r in reps for e in elements] + zeros
 
-        monkeypatch.setattr(prooftrace, "residue_grid", recorded)
-        x, y, z = [1, 3, 9, 27], [2, 5, 7], [4, 7, 11, 12]
-        assert trilinear_eval(x, y, z, 2, 1009) == pytest.approx(_triple_loop(x, y, z, 2, 1009), abs=1e-9)
-        assert len(buffers) == 3 and buffers[0] is not None
-        assert all(out is buffers[0] for out in buffers)
-        assert buffers[0].shape == (2, prooftrace.TRILINEAR_BLOCK)
+        x, y = draw("x"), draw("y")
+        z = data.draw(st.lists(st.integers(0, 3 * p), min_size=1, max_size=5), label="z")
+        assert trilinear_eval(x, y, z, a, p, subgroup=elements) == pytest.approx(
+            _triple_loop(x, y, z, a, p), abs=1e-9
+        )
+
+    @pytest.mark.parametrize("broken", ["X", "Y"])
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_sets_not_closed_under_the_subgroup(self, broken, change):
+        """A set that misses one member of a coset, or holds one twice (still
+        closed as a set, not as a multiset), is refused."""
+        p = 1009
+        elements = subgroup_of_order(p, 16).elements
+        coset = [3 * int(e) % p for e in elements] + [5 * int(e) % p for e in elements]
+        sets = {"X": list(coset), "Y": list(coset)}
+        sets[broken] = coset[1:] if change == "drop" else coset + coset[:1]
+        with pytest.raises(InputError, match=f"{broken} is not a union of orbits"):
+            trilinear_eval(sets["X"], sets["Y"], [1, 2], 7, p, subgroup=elements)
+        assert trilinear_eval(sets["X"], sets["Y"], [1, 2], 7, p) == pytest.approx(
+            _triple_loop(sets["X"], sets["Y"], [1, 2], 7, p), abs=1e-9
+        )
+
+    def test_g_once_per_orbit_without_the_spectral_path(self, monkeypatch):
+        """G is evaluated once, at one member of each distinct orbit of the
+        products, and the check never reaches an FFT, the coset index, the
+        sum table or the pair counts."""
+        p = 1009
+        sub = subgroup_of_order(p, 16)
+        elements = [int(e) for e in sub.elements]
+
+        def orbit(r):
+            return frozenset(r * e % p for e in elements)
+
+        x = [r * e for r in (3, 3, 11) for e in elements] + [0]
+        y = [r * e for r in (5, 7) for e in elements]
+        # z of one coset give distinct products in one orbit
+        z, a = [4, 4 * elements[1], 7, 7 * elements[5], 11, 12, 3 * p, 1000], 2
+        want = _triple_loop(x, y, z, a, p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the literal check reached the spectral path")
+
+        class Refused:
+            def __getattr__(self, name):
+                refuse()
+
+        for target, name in [
+            (np, "fft"),
+            (prooftrace, "all_sums"),
+            (prooftrace, "cyclic_correlation"),
+            (prooftrace, "_pair_sums"),
+            (Subgroup, "coset_index"),
+            (CosetIndex, "coset_of"),
+            (CosetIndex, "members"),
+            (CosetIndex, "blocks"),
+        ]:
+            monkeypatch.setattr(target, name, Refused() if name == "fft" else refuse)
+        evaluated = []
+        real = prooftrace._phase_sums
+
+        def recorded(u, y_sorted, q):
+            evaluated.extend(int(w) for w in u)
+            return real(u, y_sorted, q)
+
+        monkeypatch.setattr(prooftrace, "_phase_sums", recorded)
+        assert trilinear_eval(x, y, z, a, p, subgroup=sub.elements) == pytest.approx(want, abs=1e-9)
+        orbits = {orbit(a * zi * xi % p) for zi in z for xi in x}
+        assert len(evaluated) == len(orbits)
+        assert {orbit(w) for w in evaluated} == orbits
 
     def test_peak_memory(self):
-        """At p near 10^6 the check holds its 16p-byte phase table (after
-        its p-byte mark is freed), block buffers and 24 bytes per distinct
-        product (27173 here): within 17p bytes plus 4 MB."""
+        """At p near 10^6 the check holds nothing of length p: 4 bytes per
+        product and per distinct product (27173 here: without a subgroup every
+        orbit is one residue), 16 bytes per G value, two phase tables of 1024
+        entries and blocks of TRILINEAR_BLOCK entries stay below p bytes."""
         p = 1000003
         x, y, z = np.arange(1, 301), np.arange(1, 201), np.arange(1, 101) ** 3
         tracemalloc.start()
@@ -188,7 +261,7 @@ class TestTrilinearEval:
         finally:
             tracemalloc.stop()
         assert 0 < value <= x.size * y.size * z.size
-        assert peak <= 17 * p + 4 * 2**20
+        assert peak < p
 
 
 class TestBuildTrace:
