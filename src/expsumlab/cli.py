@@ -460,7 +460,7 @@ def _add_common(sp, order_required=True):
         "--dense-limit",
         type=int,
         default=DEFAULT_DENSE_LIMIT,
-        help="largest p for which dense length-p tables are allowed",
+        help="largest p for which the coset index and the sum table (about p/2 phase lookups) are built",
     )
 
 

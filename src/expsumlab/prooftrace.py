@@ -24,9 +24,11 @@ representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
 of cosets; they are expanded to residues only for the result and for the
 literal trilinear check.  That check (trilinear_eval) shares nothing with the
 spectral path but the sets and the subgroup's elements: it verifies that X
-and Y are unions of orbits of the subgroup, evaluates G(w) = sum over y of
-e(w*y/p) from its own phase tables once per distinct orbit of the products
-a*z*x (at most M + 1 of them), and holds nothing of length p.
+and Y are unions of orbits of the subgroup, takes the sum over X once per
+distinct orbit of the a*z, evaluates G(w) = sum over y of e(w*y/p) from its
+own phase tables once per distinct orbit of the products a*z*x (at most
+M + 1 of them), and holds nothing of length p.  Its budget counts
+|X||Y||Z|/H terms.
 """
 
 from __future__ import annotations
@@ -284,7 +286,8 @@ def _orbit_mins(w: np.ndarray, elements: np.ndarray, p: int, closed: str | None 
 
 
 def _first(keys: np.ndarray) -> np.ndarray:
-    """Where each value of a sorted array occurs first."""
+    """Where each value of a sorted array occurs first (np.unique's mask,
+    without the import of numpy.ma that np.unique costs a fresh process)."""
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -331,47 +334,53 @@ def trilinear_eval(
     evaluated term by term (_phase_sums).  Given the elements of a subgroup,
     X and Y must be unchanged as multisets by the product with each element
     (InputError otherwise; build_trace passes unions of cosets).  Then G is
-    the same at every point of an orbit wH, so X keeps the least member of
-    each orbit it meets with the number of its entries there, each product
-    c_z*x is mapped to the least member of its orbit, and G is evaluated once
-    for each distinct orbit U, found by a sort; the per-z sums gather G by
-    bisection in U.  Without a subgroup every orbit is one residue.  The work
-    is |X|*H products to verify X and find its orbits and |Y|*H to verify Y,
-    |Z|*|X| for the orbits of the products (|Z| times the orbits of X, times
-    H) and |U|*|Y| phase terms, with |U| at most (p - 1)/H + 1.  No FFT,
-    coset index or pair count is used, so the check stays independent of the
-    spectral stage-3 values.  Memory: 4 bytes per orbit product and per
-    distinct orbit (p < 2^32 below the int64 limit), 16 per G value, the two
-    phase tables and blocks of TRILINEAR_BLOCK entries; nothing of length p.
-    The budget still counts all |X|*|Y|*|Z| terms.  A p whose residue
-    products overflow int64 is refused (subgroup.check_int64_products).
+    the same at every point of an orbit wH, and the sum over x the same at
+    every c_z of an orbit, so X keeps the least member of each orbit it meets
+    with the number of its entries there, each c_z and each product c_z*x is
+    mapped to the least member of its orbit, the sum over x is taken once per
+    distinct orbit of the c_z, and G once per distinct orbit U of the
+    products.  Each z reads its orbit's value by bisection, and the values
+    are added in the order of Z; Z need not be closed.  Without a subgroup
+    every orbit is one residue.  The work is H products per entry of X, Y and
+    Z, H times the orbits of X per orbit of the c_z, and |U|*|Y| phase terms,
+    with |U| at most (p - 1)/H + 1.  No FFT, coset index or pair count is
+    used, so the check stays independent of the spectral stage-3 values.
+    Memory: 4 bytes per orbit product and per distinct orbit (p < 2^32 below
+    the int64 limit), 16 per G value, the two phase tables and blocks of
+    TRILINEAR_BLOCK entries; nothing of length p.  The budget bounds
+    |X|*|Y|*|Z|/H (H = 1 without a subgroup).  A p whose residue products
+    overflow int64 is refused (subgroup.check_int64_products).
     """
     x, y, z = (np.asarray(s, dtype=np.int64) for s in (x_set, y_set, z_set))
     if min(x.size, y.size, z.size) == 0:
         return 0.0
     check_int64_products(p)
-    if x.size * y.size * z.size > budget:
-        raise ResourceError(
-            f"trilinear evaluation needs {x.size * y.size * z.size} terms, budget {budget}"
-        )
     e = np.ones(1, dtype=np.int64) if subgroup is None else np.asarray(subgroup, dtype=np.int64) % p
-    x, y, c = np.sort(x % p), np.sort(y % p), int(a) % p * (z % p) % p
+    if x.size * y.size * z.size > budget * e.size:
+        raise ResourceError(
+            f"trilinear evaluation needs |X||Y||Z| / H = {x.size * y.size * z.size} / "
+            f"{e.size} terms, budget {budget}"
+        )
+    x, y = np.sort(x % p), np.sort(y % p)
     _orbit_mins(y, e, p, closed="Y")
     keys = np.sort(_orbit_mins(x, e, p, closed="X"))
     starts = np.flatnonzero(_first(keys))
     reps, counts = keys[starts], np.diff(starts, append=keys.size)
-    mins = _product_orbits(c, reps, e, p)
+    c = _orbit_mins(int(a) % p * (z % p) % p, e, p)
+    orbits = np.sort(c)
+    orbits = orbits[_first(orbits)]
+    mins = _product_orbits(orbits, reps, e, p)
     u = np.sort(mins, axis=None)
     u = u[_first(u)]
     g = _phase_sums(u, y, p)
-    inner = np.empty(c.size, dtype=np.complex128)
+    inner = np.empty(orbits.size, dtype=np.complex128)
     step = max(1, TRILINEAR_BLOCK // reps.size)
-    for i in range(0, c.size, step):
+    for i in range(0, orbits.size, step):
         terms = np.take(g, np.searchsorted(u, mins[i : i + step]))
         terms *= counts
         inner[i : i + step] = terms.sum(axis=1)
     total = comp = 0.0
-    for v in np.abs(inner).tolist():
+    for v in np.abs(inner)[np.searchsorted(orbits, c)].tolist():
         t = total + v
         comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
         total = t
@@ -552,18 +561,11 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
         )
     )
     x, y, z = index.members(xc), index.members(yc), index.members(zc)
-    if nx * ny * nz <= trilinear_budget:
-        zs, times, name = z, 1, "trilinear_direct_agreement"
-        note = "direct per-z evaluation vs spectral stage-3 values"
-    else:
-        # X is a union of cosets, so the inner X x Y sum is the same at every z of a coset
-        zs, times, name = index.reps[zc], H, "trilinear_coset_agreement"
-        note = "direct evaluation at one z per coset, times H, vs spectral stage-3 values"
     tri_direct = None
-    if nx * ny * zs.size <= trilinear_budget:
-        tri = times * trilinear_eval(x, y, zs, a, p, trilinear_budget, sub.elements)
-        checks.append(_check_close(name, tri, ts_spectral, note=note))
-        tri_direct = tri if times == 1 else None
+    if nx * ny * nz <= trilinear_budget * H:
+        tri_direct = trilinear_eval(x, y, z, a, p, trilinear_budget, sub.elements)
+        note = "direct per-z evaluation vs spectral stage-3 values"
+        checks.append(_check_close("trilinear_direct_agreement", tri_direct, ts_spectral, note=note))
     tri_bound = trilinear_bound(nx, ny, nz, p)
     measured = tri_direct if tri_direct is not None else ts_spectral
 

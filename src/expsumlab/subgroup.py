@@ -12,8 +12,7 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .field import PrimeModulus, primitive_root
 
-# Largest subgroup order whose elements are listed (8 bytes each, plus a
-# same-sized temporary while they are sorted).
+# Largest subgroup order whose elements are listed (8 bytes each).
 ELEMENT_LIMIT = 10**7
 # Largest p for which the coset index and the sum table are built.  Neither
 # holds an array of length p.
@@ -36,23 +35,19 @@ def check_int64_products(p: int) -> None:
         )
 
 
-def residue_grid(op, r: np.ndarray, c: np.ndarray, n: int, block: int, out=None):
+def residue_grid(op, r: np.ndarray, c: np.ndarray, n: int, block: int):
     """(rows, cols, x) triples with x = op(r[rows, None], c[cols]) mod n, for
     op np.multiply or np.add on int64 values whose results fit in int64.
 
     Columns run outer and rows inner, in blocks of at most `block` entries
     that tile r x c exactly once; every block is written into the same two
-    buffers, so the next block overwrites it.  Those are out[0] and out[1]
-    of a caller's int64 array of shape (2, k >= block), so that one pair can
-    serve several grids, else a pair allocated here.  Callers that keep a
-    block size keep the order in which their sums meet each entry."""
+    buffers, so the next block overwrites it.  Callers that keep a block size
+    keep the order in which their sums meet each entry."""
     if r.size == 0 or c.size == 0:
         return
     width = min(c.size, block)
     height = min(r.size, max(1, block // width))
-    if out is None:
-        out = np.empty((2, height * width), dtype=np.int64)
-    buf, quo = out
+    buf, quo = np.empty((2, height * width), dtype=np.int64)
     for j in range(0, c.size, width):
         cols = slice(j, min(j + width, c.size))
         for i in range(0, r.size, height):
@@ -72,8 +67,9 @@ class CosetIndex:
 
     The power table g^(iM+j), laid out as an H x M matrix whose column j is
     coset j, is never stored: reps[j] = g^j (coset 0 is the subgroup) and
-    steps[i] = g^(iM) give it a block at a time.  coset_of(x) is the coset
-    of each residue x, M for x = 0, in O(M) memory.
+    steps[i] = g^(iM) give it a block at a time.  steps is the subgroup's own
+    elements array, not a copy, so the index adds O(M) memory to the
+    subgroup's; coset_of(x) is the coset of each residue x, M for x = 0.
     """
 
     p: int
@@ -141,9 +137,10 @@ def _geometric(g: int, n: int, p: int) -> np.ndarray:
 class Subgroup:
     """The unique multiplicative subgroup of order `order` dividing p - 1.
 
-    `elements` is the sorted list of its H residues, immutable after
-    construction and safe to share across workers; nothing of length p is
-    built with it.  The coset index is built on first use and kept.
+    `elements` holds its H residues in power order, g^k for k = 0..H-1 with
+    g the generator, immutable after construction and safe to share across
+    workers; nothing of length p is built with it.  The coset index is built
+    on first use and kept, with `elements` as its power table's rows.
     """
 
     p: int
@@ -166,9 +163,9 @@ class Subgroup:
             check_int64_products(p)
             root = primitive_root(p)
             m = (p - 1) // self.order
-            reps = _geometric(root, m, p)
-            steps = _geometric(pow(root, m, p), self.order, p)
-            object.__setattr__(self, "_index", CosetIndex(p, self.order, root, reps, steps))
+            # the generator is root^m, so elements[i] = root^(im) are the table's rows
+            index = CosetIndex(p, self.order, root, _geometric(root, m, p), self.elements)
+            object.__setattr__(self, "_index", index)
         return self._index
 
 
@@ -182,5 +179,4 @@ def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
         raise ResourceError(f"order {order} exceeds the subgroup element limit {ELEMENT_LIMIT}")
     g = pow(primitive_root(pm), (p - 1) // order, p)
     assert pow(g, order, p) == 1, "generator does not have the requested order"
-    elements = np.sort(_geometric(g, order, p))
-    return Subgroup(p, order, g, elements)
+    return Subgroup(p, order, g, _geometric(g, order, p))

@@ -200,8 +200,9 @@ class TestTrilinearEval:
 
     def test_g_once_per_orbit_without_the_spectral_path(self, monkeypatch):
         """G is evaluated once, at one member of each distinct orbit of the
-        products, and the check never reaches an FFT, the coset index, the
-        sum table or the pair counts."""
+        products, the products are formed for one c per orbit of a*Z (Z holds
+        repeated orbits and is closed under nothing), and the check never
+        reaches an FFT, the coset index, the sum table or the pair counts."""
         p = 1009
         sub = subgroup_of_order(p, 16)
         elements = [int(e) for e in sub.elements]
@@ -241,10 +242,21 @@ class TestTrilinearEval:
             return real(u, y_sorted, q)
 
         monkeypatch.setattr(prooftrace, "_phase_sums", recorded)
+        multiplied = []
+        real_products = prooftrace._product_orbits
+
+        def products(c, *args):
+            multiplied.extend(int(w) for w in c)
+            return real_products(c, *args)
+
+        monkeypatch.setattr(prooftrace, "_product_orbits", products)
         assert trilinear_eval(x, y, z, a, p, subgroup=sub.elements) == pytest.approx(want, abs=1e-9)
         orbits = {orbit(a * zi * xi % p) for zi in z for xi in x}
         assert len(evaluated) == len(orbits)
         assert {orbit(w) for w in evaluated} == orbits
+        z_orbits = {orbit(a * zi % p) for zi in z}
+        assert len(multiplied) == len(z_orbits) < len(z)
+        assert {orbit(c) for c in multiplied} == z_orbits
 
     def test_peak_memory(self):
         """At p near 10^6 the check holds nothing of length p: 4 bytes per
@@ -385,23 +397,19 @@ def test_residue_level_oracle_empty_stage3():
     assert residue_level_trace(36697, sub.elements, tr.a)["empty_stage"] == 3
 
 
-def test_trilinear_coset_check_above_literal_budget():
-    """|X||Y||Z| above the budget but |X||Y||Z|/H within it: the literal sum
-    at one z per Z-coset, times H, stands in for the direct check."""
+def test_trilinear_direct_check_within_budget_over_h():
+    """The budget counts |X||Y||Z|/H: just within it the literal check runs
+    and gives the unlimited trace's value; just above it no check runs."""
     sub = subgroup_of_order(16111, 18)
     full = build_trace(sub)
     terms = full.sets.x.size * full.sets.y.size * full.sets.z.size
     tr = build_trace(sub, trilinear_budget=terms // 18 + 1)
-    assert tr.trilinear_direct is None
-    assert tr.all_passed
-    check = tr.checks[-1]
-    assert check.name == "trilinear_coset_agreement"
-    assert check.rhs == tr.trilinear_sum == full.trilinear_sum
-    assert check.lhs == pytest.approx(full.trilinear_direct, rel=1e-9)
-    assert "trilinear_direct_agreement" not in [c.name for c in tr.checks]
+    assert tr.all_passed and tr.trilinear_direct is not None
+    assert tr.trilinear_direct == full.trilinear_direct
+    assert tr.checks[-1].name == "trilinear_direct_agreement"
     below = build_trace(sub, trilinear_budget=terms // 18 - 1)
     assert below.trilinear_direct is None and below.all_passed
-    assert "trilinear_coset_agreement" not in [c.name for c in below.checks]
+    assert "trilinear_direct_agreement" not in [c.name for c in below.checks]
 
 
 class TestMomentInequality:

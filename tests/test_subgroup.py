@@ -31,16 +31,17 @@ from oracles import (
 
 
 def test_subgroup_examples():
+    # elements in power order g^k, g = 2^((p-1)/H) for the primitive root 2
     assert list(subgroup_of_order(13, 3).elements) == [1, 3, 9]
     assert list(subgroup_of_order(13, 1).elements) == [1]
-    assert list(subgroup_of_order(13, 12).elements) == list(range(1, 13))
+    assert list(subgroup_of_order(13, 12).elements) == [pow(2, k, 13) for k in range(12)]
 
 
 def test_subgroup_elements_above_int64_products():
     # p > 2^31.5: products of two residues are taken in Python integers
     p, h = 2**61 - 1, 210
     sub = subgroup_of_order(p, h)
-    powers = sorted(pow(sub.generator, k, p) for k in range(h))
+    powers = [pow(sub.generator, k, p) for k in range(h)]
     assert [int(v) for v in sub.elements] == powers and len(set(powers)) == h
 
 
@@ -132,18 +133,6 @@ def test_residue_grid_empty():
         assert list(subgroup.residue_grid(np.multiply, r, c, 7, 3)) == []
 
 
-@pytest.mark.parametrize("block", [3, 64, 2**14])
-def test_residue_grid_writes_into_given_buffers(block):
-    # every block lands in out[0], its quotient in out[1], and the values are unchanged
-    r, c = np.arange(1, 40, dtype=np.int64), np.arange(-50, 50, dtype=np.int64)
-    out = np.empty((2, block), dtype=np.int64)
-    seen = np.zeros((r.size, c.size), dtype=np.int64)
-    for rows, cols, x in subgroup.residue_grid(np.multiply, r, c, 97, block, out):
-        assert np.shares_memory(x, out[0]) and not np.shares_memory(x, out[1])
-        seen[rows, cols] = x
-    assert np.array_equal(seen, np.multiply.outer(r, c) % 97)
-
-
 def test_coset_lookup_matches_oracle_labels_every_small_field():
     # every residue of every field p < 300 and every H | p - 1, and residues
     # given outside [0, p) land in the coset of their remainder
@@ -184,7 +173,8 @@ def test_coset_index_partition(p, h):
         assert not coset & seen
         seen |= coset
     assert seen == set(range(1, p))
-    assert {int(v) for v in index.steps} == {int(v) for v in sub.elements}
+    # the index holds no H-length array of its own: its rows are the elements
+    assert np.shares_memory(index.steps, sub.elements)
 
 
 def assert_period_symmetry(table):
