@@ -16,9 +16,7 @@ import importlib
 # before numpy is first imported.
 _EXPORTS = {
     "energy": (
-        "DifferenceProfile",
-        "EnergyProfile",
-        "IntervalProductProfile",
+        "CosetProfile",
         "difference_counts",
         "energy_via_moments",
         "j_count",

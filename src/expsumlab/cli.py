@@ -127,14 +127,14 @@ def _enumerate_cases(config: ScanConfig) -> list[tuple[int, int]]:
     return cases
 
 
-def _resolve_interval(config_dict: dict, p: int) -> Interval | None:
-    length = config_dict["interval_length"]
-    if length is None and config_dict["interval_power"] is not None:
+def _resolve_interval(config: ScanConfig, p: int) -> Interval | None:
+    length = config.interval_length
+    if length is None and config.interval_power is not None:
         # a power of 1 already gives the whole field; capping it keeps p^power finite
-        length = max(1, round(p ** min(config_dict["interval_power"], 1.0)))
+        length = max(1, round(p ** min(config.interval_power, 1.0)))
     if length is None:
         return None
-    return Interval(start=config_dict["interval_start"], length=length)
+    return Interval(start=config.interval_start, length=length)
 
 
 def _moment_check(table, m: int, energy: int) -> tuple[float, float, bool]:
@@ -145,33 +145,33 @@ def _moment_check(table, m: int, energy: int) -> tuple[float, float, bool]:
     return moment, bound, abs(Fraction(moment) - energy) <= bound
 
 
-def _scan_case(args: tuple[int, int, dict]) -> dict:
-    p, h, cfg = args
+def _scan_case(args: tuple[int, int, ScanConfig]) -> dict:
+    p, h, config = args
     row: dict = {key: None for key in CSV_FIELDS}
     row["p"], row["H"] = p, h
     row["error"] = None
     try:
         pm = PrimeModulus.from_int(p)
         sub = subgroup_of_order(pm, h)
-        table = all_sums(sub, dense_limit=cfg["dense_limit"])
-        a_star, mx = max_sum(sub, table=table)
+        table = all_sums(sub, dense_limit=config.dense_limit)
+        a_star, mx = max_sum(table)
         row["a_star"] = a_star
         row["max_abs_sum"] = mx
         t1 = bounds.thm1_bound(p, h)
         row["thm1"] = t1
         row["ratio1"] = mx / t1
-        interval = _resolve_interval(cfg, p)
+        interval = _resolve_interval(config, p)
         if interval is not None:
             n_len = interval.length
             row["N"], row["L"] = n_len, interval.start
             row["gamma"] = bounds.gamma(p, n_len, h)
             row["thm2"] = bounds.thm2_bound(p, n_len, h)
             row["thm3"] = bounds.thm3_bound(p, n_len, h)
-            s_int = interval_subgroup_sum(a_star, interval, sub, table=table)
+            s_int = interval_subgroup_sum(a_star, interval, table)
             row["ratio2"] = s_int / row["thm2"]
             row["ratio3"] = s_int / row["thm3"]
             row["J"] = j_count(interval, sub).energy
-        for m in cfg["moments"]:
+        for m in config.moments:
             prof = representation_counts(table, m)
             row[f"T{m}"] = prof.energy
             moment, bound, agrees = _moment_check(table, m, prof.energy)
@@ -215,14 +215,7 @@ def fit_scan_rows(rows: list[dict]) -> list[FitResult]:
 def run_scan(config: ScanConfig) -> tuple[list[dict], list[FitResult]]:
     """Compute all scan rows (sorted by (p, H)) plus the exponent fits."""
     cases = _enumerate_cases(config)
-    cfg = {
-        "dense_limit": config.dense_limit,
-        "interval_start": config.interval_start,
-        "interval_length": config.interval_length,
-        "interval_power": config.interval_power,
-        "moments": tuple(config.moments),
-    }
-    work = [(p, h, cfg) for p, h in cases]
+    work = [(p, h, config) for p, h in cases]
     # the pool starts all its workers at the first submit: no more than cases
     workers = min(config.threads, len(work))
     if workers > 1:
@@ -334,7 +327,7 @@ def cmd_sum(args) -> int:
         label = f"|S_{a}|"
         value = abs(single_sum(a, sub))
     else:
-        a, value = max_sum(sub, table=all_sums(sub, dense_limit=args.dense_limit))
+        a, value = max_sum(all_sums(sub, dense_limit=args.dense_limit))
         label = f"max over a of |S_a| (a* = {a})"
     t1 = bounds.thm1_bound(p, h)
     marker = "in-range" if bounds.thm1_in_range(p, h) else "out-of-range"
@@ -417,15 +410,12 @@ def cmd_trace(args) -> int:
         j_prof = j_count(interval, sub)
         r2 = representation_counts(table, 2)
         r3 = representation_counts(table, 3)
-    trace = build_trace(
-        sub, a=args.a, table=table, r2=r2, r3=r3, trilinear_budget=args.trilinear_budget
-    )
+    # the table goes positionally: perfbench/layers.py reads p from the first argument
+    trace = build_trace(table, a=args.a, r2=r2, r3=r3, trilinear_budget=args.trilinear_budget)
     moment_checks = []
     if interval is not None:
         for m, r_m in ((2, r2), (3, r3)):
-            moment_checks.append(
-                moment_inequality_check(interval, sub, trace.a, m, table, r_m, j_prof)
-            )
+            moment_checks.append(moment_inequality_check(interval, table, trace.a, m, r_m, j_prof))
     doc = trace_document(trace, moment_checks)
     _write_output(json.dumps(doc, indent=1) + "\n", args.output)
     ok = trace.degenerate or (trace.all_passed and all(c.passed for c in moment_checks))
@@ -456,6 +446,10 @@ def _add_common(sp, order_required=True):
         required=order_required,
         help="subgroup order H (must divide p-1)",
     )
+    _add_dense_limit(sp)
+
+
+def _add_dense_limit(sp):
     sp.add_argument(
         "--dense-limit",
         type=int,
@@ -486,7 +480,7 @@ def _scan_arguments(sp):
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", type=str, default=None)
-    sp.add_argument("--dense-limit", type=int, default=DEFAULT_DENSE_LIMIT)
+    _add_dense_limit(sp)
 
 
 def _trace_arguments(sp):

@@ -7,9 +7,9 @@ so it is evaluated and kept once per coset of the coset index, plus once at
 Gaussian periods of the sum table by one length-M correlation each, rounded
 under a derived error bound and refused where that bound does not certify
 the rounding; the product counts read the coset of each interval residue.
-Everything is integer-exact; the counts run in int64 (values are guaranteed
-to fit whenever the H^{2m} overflow guard passes, with a big-int fallback
-for the final squared sums).
+Everything is integer-exact: the counts run in int64 (they fit whenever the
+H^{2m} overflow guard passes), and each profile's energy sums their squares
+in int64 where the counts bound that sum below 2^63, in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -31,39 +31,28 @@ FFT_ERROR = 26
 
 
 @dataclass(eq=False)
-class _CosetProfile:
+class CosetProfile:
     """A count that is per_coset[j] at every residue of coset j of index and
-    at_zero at 0, with energy the sum of its squares over all residues."""
+    at_zero at 0, with energy the sum of its squares over all residues,
+    exact: representation_counts gives the m-fold sums of subgroup elements
+    (energy T_m), difference_counts the differences h1 - h2 (energy T_2),
+    and j_count the products n*h of the interval and the subgroup (energy J,
+    the solutions of n1*h1 = n2*h2)."""
 
-    p: int
-    energy: int
     per_coset: np.ndarray
     at_zero: int
     index: CosetIndex = field(repr=False)
+    energy: int = field(init=False)
 
-
-@dataclass(eq=False)
-class EnergyProfile(_CosetProfile):
-    """The count at lam is the number of m-tuples of subgroup elements summing
-    to lam; energy = number of 2m-tuples with equal half sums."""
-
-    m: int
-
-
-class IntervalProductProfile(_CosetProfile):
-    """The count at lam is the number of (n, h) in interval x subgroup with
-    n*h = lam; energy = number of solutions of n1*h1 = n2*h2."""
-
-
-class DifferenceProfile(_CosetProfile):
-    """The count at d is the number of ordered pairs (h1, h2) of subgroup
-    elements with h1 - h2 = d; energy = the m = 2 additive energy T_2."""
-
-
-def _exact_square_sum(counts: np.ndarray, int64_safe: bool) -> int:
-    if int64_safe:
-        return int(np.dot(counts, counts))
-    return sum(int(c) * int(c) for c in counts[counts > 0])
+    def __post_init__(self) -> None:
+        c = self.per_coset
+        top = int(c.max())
+        # the sum of squares is at most size * max^2
+        if c.size * top * top < 2**63:
+            squares = int(np.dot(c, c))
+        else:
+            squares = sum(int(v) * int(v) for v in c[c > 0])
+        self.energy = self.at_zero * self.at_zero + self.index.order * squares
 
 
 def _padded_length(cosets: int) -> int:
@@ -131,7 +120,7 @@ def _profile(table: SumTable, f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     return per_coset, at_zero
 
 
-def representation_counts(table: SumTable, m: int) -> EnergyProfile:
+def representation_counts(table: SumTable, m: int) -> CosetProfile:
     """m-fold additive representation counts r_m(lam), the number of m-tuples
     of subgroup elements summing to lam, once per coset, from the periods.
 
@@ -195,19 +184,16 @@ def representation_counts(table: SumTable, m: int) -> EnergyProfile:
     if m == 2:
         # h1 + h2 = 0 has H solutions when -1 lies in H (even H), else none
         assert at_zero == (order if order % 2 == 0 else 0), "r_2(0) is not H or 0"
-    safe = order ** (2 * m) < 2**62
-    energy = at_zero * at_zero + order * _exact_square_sum(per_coset, safe)
-    return EnergyProfile(table.p, energy, per_coset, at_zero, table.index, m)
+    return CosetProfile(per_coset, at_zero, table.index)
 
 
-def difference_counts(table: SumTable) -> DifferenceProfile:
+def difference_counts(table: SumTable) -> CosetProfile:
     """Ordered pairs (h1, h2) by their difference h1 - h2, once per coset:
     representation_counts at m = 2 with |eta_j|^2 in place of eta_j^2."""
     order = table.order
     per_coset, at_zero = _profile(table, table.coset_magnitudes**2, 2)
     assert at_zero == order, "h1 - h2 = 0 has H solutions"
-    energy = at_zero * at_zero + order * _exact_square_sum(per_coset, order**4 < 2**62)
-    return DifferenceProfile(table.p, energy, per_coset, at_zero, table.index)
+    return CosetProfile(per_coset, at_zero, table.index)
 
 
 def energy_via_moments(table: SumTable, m: int) -> float:
@@ -265,7 +251,7 @@ def moment_error_bound(table: SumTable, m: int) -> float:
     return (order * periods / table.p + 4 * u * energy_via_moments(table, m)) * (1 + 1e-6)
 
 
-def j_count(interval: Interval, sub: Subgroup) -> IntervalProductProfile:
+def j_count(interval: Interval, sub: Subgroup) -> CosetProfile:
     """Exact product-collision profile: n*h = lam has one solution h for each
     nonzero n in the interval lying in the coset of lam, so the profile is
     the per-coset count c_j of the interval, and J = H * sum c_j^2 + [0 in I] H^2."""
@@ -274,6 +260,4 @@ def j_count(interval: Interval, sub: Subgroup) -> IntervalProductProfile:
     index = sub.coset_index()
     nonzero = res[res != 0]
     per_coset = np.bincount(index.coset_of(nonzero), minlength=index.cosets).astype(np.int64)
-    at_zero = order * (res.size - nonzero.size)
-    energy = at_zero * at_zero + order * _exact_square_sum(per_coset, res.size**2 < 2**62)
-    return IntervalProductProfile(p, energy, per_coset, at_zero, index)
+    return CosetProfile(per_coset, order * (res.size - nonzero.size), index)

@@ -130,35 +130,24 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     return SumTable(p, order, np.abs(eta.real), eta, index, error)
 
 
-def max_sum(sub: Subgroup, table: SumTable | None = None) -> tuple[int, float]:
+def max_sum(table: SumTable) -> tuple[int, float]:
     """(a*, max over a != 0 of |S_a|).  a* is the least member of the cosets
     whose magnitude is within twice the table's period_error of the maximum:
     every coset whose true |eta_j| attains the true maximum is among them, so
     a* does not depend on the last bits of the table."""
-    if table is None:
-        table = all_sums(sub)
     c = table.coset_magnitudes
     best = c.max()
     reps = table.index.reps[c >= best - 2 * table.period_error]
-    grid = residue_grid(np.multiply, reps, sub.elements, sub.p, TABLE_BLOCK)
+    grid = residue_grid(np.multiply, reps, table.index.steps, table.p, TABLE_BLOCK)
     a_star = min(int(x.min()) for _, _, x in grid)
     return a_star, float(best)
 
 
-def interval_subgroup_sum(
-    a: int,
-    interval: Interval,
-    sub: Subgroup,
-    table: SumTable | None = None,
-) -> float:
-    """sum over n in the interval of |S_{a*n}|, read off the sum table (built
-    when none is given)."""
-    p = sub.p
+def interval_subgroup_sum(a: int, interval: Interval, table: SumTable) -> float:
+    """sum over n in the interval of |S_{a*n}|, read off the sum table."""
+    p = table.p
     a = int(a) % p
     if a == 0:
         raise InputError("a must be nonzero mod p")
-    res = interval.residues(p)
-    if table is None:
-        table = all_sums(sub)
-    cosets = table.index.coset_of(a * res % p)
+    cosets = table.index.coset_of(a * interval.residues(p) % p)
     return float(np.sum(np.append(table.coset_magnitudes, float(table.order))[cosets]))

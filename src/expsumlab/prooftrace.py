@@ -39,23 +39,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import trilinear_bound
-from .energy import (
-    EnergyProfile,
-    IntervalProductProfile,
-    cyclic_correlation,
-    difference_counts,
-    j_count,
-    representation_counts,
-)
+from .energy import CosetProfile, cyclic_correlation, difference_counts, representation_counts
 from .errors import InputError, ResourceError
-from .expsum import (
-    Interval,
-    SumTable,
-    all_sums,
-    interval_subgroup_sum,
-    max_sum,
-)
-from .subgroup import Subgroup, check_int64_products, residue_grid
+from .expsum import Interval, SumTable, interval_subgroup_sum, max_sum
+from .subgroup import check_int64_products, residue_grid
 
 REL_TOL = 1e-6
 DEFAULT_TRILINEAR_BUDGET = 10**9
@@ -387,10 +374,10 @@ def trilinear_eval(
     return total + comp
 
 
-def _degenerate(sub: Subgroup, a: int, delta: float, reason: str) -> TraceResult:
+def _degenerate(table: SumTable, a: int, delta: float, reason: str) -> TraceResult:
     return TraceResult(
-        p=sub.p,
-        order=sub.order,
+        p=table.p,
+        order=table.order,
         a=a,
         degenerate=True,
         reason=reason,
@@ -440,28 +427,26 @@ def _stage(
 
 
 def build_trace(
-    sub: Subgroup,
+    table: SumTable,
     a: int | None = None,
-    table: SumTable | None = None,
-    r2=None,
-    r3=None,
+    r2: CosetProfile | None = None,
+    r3: CosetProfile | None = None,
     trilinear_budget: int = DEFAULT_TRILINEAR_BUDGET,
 ) -> TraceResult:
-    """Run the full three-stage cascade for (p, subgroup, a).
+    """Run the full three-stage cascade for (p, subgroup, a) on the subgroup's
+    sum table.
 
-    Defaults: a is the smallest residue attaining max |S_a|; the sum table
-    and the 2- and 3-fold representation profiles are computed on demand
-    from its periods.  For even H, -1 lies in the subgroup, so the stage-3
-    difference counts are r2 itself.
+    Defaults: a is the smallest residue attaining max |S_a|; the 2- and
+    3-fold representation profiles are computed from the table's periods
+    when the cascade needs them.  For even H, -1 lies in the subgroup, so
+    the stage-3 difference counts are r2 itself.
     Every outcome is a TraceResult.  The full group, |S_a| <= 1 and a stage
     that ends empty (its reason names the stage) come back with the
     degenerate flag set, delta in reported and no assertions.
     """
-    p, H = sub.p, sub.order
-    if table is None:
-        table = all_sums(sub)
+    p, H = table.p, table.order
     if a is None:
-        a, _ = max_sum(sub, table=table)
+        a, _ = max_sum(table)
     a = int(a) % p
     if a == 0:
         raise InputError("a must be nonzero mod p")
@@ -469,18 +454,18 @@ def build_trace(
     mag_a = float(table.coset_magnitudes[shift])
     delta = mag_a / H
     if H == p - 1:
-        return _degenerate(sub, a, delta, "full group: every nonzero sum has magnitude 1")
+        return _degenerate(table, a, delta, "full group: every nonzero sum has magnitude 1")
     if mag_a <= 1.0:
-        return _degenerate(sub, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
+        return _degenerate(table, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
     try:
-        return _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget)
+        return _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget)
     except EmptyTraceError as exc:
-        return _degenerate(sub, a, delta, str(exc))
+        return _degenerate(table, a, delta, str(exc))
 
 
-def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
+def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
     """The three stages of build_trace for a with |S_a| = mag_a > 1 in coset shift."""
-    p, H = sub.p, sub.order
+    p, H = table.p, table.order
     index = table.index
     delta = mag_a / H
     if r2 is None:
@@ -563,7 +548,7 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
     x, y, z = index.members(xc), index.members(yc), index.members(zc)
     tri_direct = None
     if nx * ny * nz <= trilinear_budget * H:
-        tri_direct = trilinear_eval(x, y, z, a, p, trilinear_budget, sub.elements)
+        tri_direct = trilinear_eval(x, y, z, a, p, trilinear_budget, index.steps)
         note = "direct per-z evaluation vs spectral stage-3 values"
         checks.append(_check_close("trilinear_direct_agreement", tri_direct, ts_spectral, note=note))
     tri_bound = trilinear_bound(nx, ny, nz, p)
@@ -623,30 +608,23 @@ def _cascade(sub, a, table, shift, mag_a, r2, r3, trilinear_budget) -> TraceResu
 
 def moment_inequality_check(
     interval: Interval,
-    sub: Subgroup,
+    table: SumTable,
     a: int,
     m: int,
-    table: SumTable | None = None,
-    r_m: EnergyProfile | None = None,
-    j_prof: IntervalProductProfile | None = None,
+    r_m: CosetProfile,
+    j_prof: CosetProfile,
 ) -> CheckResult:
     """S^{2m} <= (N^{2m-2}/H^2) * J * p * T_m with measured S, exact J, T_m.
 
     The right side combines a Hoelder step with Cauchy-Schwarz, so the
     inequality is a theorem; only the measured left side carries float error.
-    The table, the m-fold profile r_m and the collision profile j_prof are
-    computed on demand when absent.
+    r_m is the m-fold profile of the table's subgroup and j_prof the
+    collision profile of the interval with it.
     """
     if m < 2:
         raise InputError(f"moment check needs m >= 2, got {m}")
-    p, H = sub.p, sub.order
-    if table is None:
-        table = all_sums(sub)
-    s_val = interval_subgroup_sum(a, interval, sub, table=table)
-    if r_m is None:
-        r_m = representation_counts(table, m)
-    if j_prof is None:
-        j_prof = j_count(interval, sub)
+    p, H = table.p, table.order
+    s_val = interval_subgroup_sum(a, interval, table)
     t_m = r_m.energy
     n_len = interval.length
     rhs_exact = n_len ** (2 * m - 2) * j_prof.energy * p * t_m

@@ -138,13 +138,15 @@ class Subgroup:
     """The unique multiplicative subgroup of order `order` dividing p - 1.
 
     `elements` holds its H residues in power order, g^k for k = 0..H-1 with
-    g the generator, immutable after construction and safe to share across
+    g = root^((p-1)/H) the generator and root the primitive root it was
+    derived from, immutable after construction and safe to share across
     workers; nothing of length p is built with it.  The coset index is built
     on first use and kept, with `elements` as its power table's rows.
     """
 
     p: int
     order: int
+    root: int
     generator: int
     elements: np.ndarray
     _index: CosetIndex | None = field(default=None, init=False, repr=False)
@@ -161,8 +163,7 @@ class Subgroup:
             if p > dense_limit:
                 raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
             check_int64_products(p)
-            root = primitive_root(p)
-            m = (p - 1) // self.order
+            root, m = self.root, (p - 1) // self.order
             # the generator is root^m, so elements[i] = root^(im) are the table's rows
             index = CosetIndex(p, self.order, root, _geometric(root, m, p), self.elements)
             object.__setattr__(self, "_index", index)
@@ -177,6 +178,7 @@ def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
         raise InputError(f"order {order} does not divide p - 1 = {p - 1}")
     if order > ELEMENT_LIMIT:
         raise ResourceError(f"order {order} exceeds the subgroup element limit {ELEMENT_LIMIT}")
-    g = pow(primitive_root(pm), (p - 1) // order, p)
+    root = primitive_root(pm)
+    g = pow(root, (p - 1) // order, p)
     assert pow(g, order, p) == 1, "generator does not have the requested order"
-    return Subgroup(p, order, g, _geometric(g, order, p))
+    return Subgroup(p, order, root, g, _geometric(g, order, p))

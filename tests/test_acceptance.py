@@ -125,7 +125,9 @@ def test_criterion_6_moment_inequality():
             table = all_sums(sub)
             iv = Interval(start, n_len)
             for m in (2, 3):
-                c = moment_inequality_check(iv, sub, a, m, table=table)
+                c = moment_inequality_check(
+                    iv, table, a, m, representation_counts(table, m), j_count(iv, sub)
+                )
                 assert c.passed, (p, h, n_len, start, a, m, c)
 
 
@@ -141,12 +143,12 @@ def test_criterion_7_proof_trace_suite():
         for p, orders in TRACE_ORDERS.items():
             for h in orders:
                 assert p**0.25 < h < p**0.5
-                tr = build_trace(subgroup_of_order(p, h))
+                tr = build_trace(all_sums(subgroup_of_order(p, h)))
                 assert not tr.degenerate, (p, h)
                 failed = [c for c in tr.checks if not c.passed]
                 assert not failed, (p, h, failed)
         sub = subgroup_of_order(13, 3)
-        tr = build_trace(sub)
+        tr = build_trace(all_sums(sub))
         oracle = tuple_level_trace(13, sub.elements, tr.a)
         assert [int(v) for v in tr.sets.x] == oracle["x"]
         assert [int(v) for v in tr.sets.y] == oracle["y"]

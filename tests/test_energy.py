@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expsumlab import (
+    CosetProfile,
     Interval,
     ResourceError,
     SumTable,
@@ -39,6 +41,30 @@ from oracles import (
 def counts(prof):
     """The profile's count at every residue, spread from its per-coset counts."""
     return spread(prof.index, prof.per_coset, prof.at_zero)
+
+
+class TestCosetProfile:
+    # the bound on size * max^2 below which the squares are summed in int64
+    TOP = math.isqrt((2**63 - 1) // 4)
+
+    @pytest.mark.parametrize(
+        "per_coset, int64",
+        [([TOP] * 4, True), ([TOP, 0, TOP - 1, 5], True), ([TOP + 1] * 4, False), ([3 * 10**9] * 4, False)],
+    )
+    def test_energy_exact_on_both_sides_of_the_int64_bound(self, monkeypatch, per_coset, int64):
+        index = subgroup_of_order(13, 3).coset_index()  # 4 cosets of 3 residues
+        dots = []
+        real = np.dot
+
+        def dot(*args):
+            dots.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(np, "dot", dot)
+        prof = CosetProfile(np.array(per_coset, dtype=np.int64), 6, index)
+        assert prof.energy == 36 + 3 * sum(c * c for c in per_coset)
+        assert len(dots) == int64
+        assert (4 * max(per_coset) ** 2 < 2**63) == int64
 
 
 class TestRepresentationCounts:

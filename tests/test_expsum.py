@@ -164,7 +164,7 @@ class TestAllSums:
         fft_mags = np.abs(fft)
         assert np.max(np.abs(values(table) - fft)) <= 1e-6 * h
         assert np.max(np.abs(magnitudes(table) - fft_mags)) <= 1e-6 * h
-        a_star, best = max_sum(sub, table)
+        a_star, best = max_sum(table)
         top = fft_mags[1:].max()
         assert abs(best - top) <= 1e-6 * h
         assert a_star == 1 + np.flatnonzero(fft_mags[1:] >= top - 2 * table.period_error)[0]
@@ -188,12 +188,12 @@ def test_phase_tables_split(p):
 
 class TestMaxSum:
     def test_full_group(self):
-        a_star, value = max_sum(subgroup_of_order(13, 12))
+        a_star, value = max_sum(all_sums(subgroup_of_order(13, 12)))
         assert a_star == 1
         assert abs(value - 1.0) < 1e-9
 
     def test_quadratic_residues_p13(self):
-        a_star, value = max_sum(subgroup_of_order(13, 6))
+        a_star, value = max_sum(all_sums(subgroup_of_order(13, 6)))
         # the maximum is (sqrt(13)+1)/2, attained at the non-residues
         assert abs(abs(2 * value - 1) - math.sqrt(13)) < 1e-9 or abs(
             abs(2 * value + 1) - math.sqrt(13)
@@ -203,7 +203,7 @@ class TestMaxSum:
     def test_brute_force_small(self):
         sub = subgroup_of_order(13, 3)
         mags = [abs(subgroup_sum(a, sub.elements, 13)) for a in range(1, 13)]
-        a_star, value = max_sum(sub)
+        a_star, value = max_sum(all_sums(sub))
         assert value == pytest.approx(max(mags), abs=1e-12)
         # magnitudes are exactly equal on cosets, so the smallest attaining
         # residue must be compared up to the oracle's last-ulp noise
@@ -212,7 +212,7 @@ class TestMaxSum:
 
     def test_parseval_pigeonhole_lower_bound(self):
         p, h = 1009, 48
-        _, value = max_sum(subgroup_of_order(p, h))
+        _, value = max_sum(all_sums(subgroup_of_order(p, h)))
         assert value >= math.sqrt((p * h - h * h) / (p - 1))
 
 
@@ -239,21 +239,21 @@ class TestIntervalSubgroupSum:
     def test_zero_hit_gives_order(self):
         sub = subgroup_of_order(13, 3)
         # interval {13} == {0 mod p}
-        assert interval_subgroup_sum(5, Interval(12, 1), sub) == pytest.approx(3.0, abs=1e-9)
+        assert interval_subgroup_sum(5, Interval(12, 1), all_sums(sub)) == pytest.approx(3.0, abs=1e-9)
 
     def test_full_interval_full_group(self):
         sub = subgroup_of_order(13, 12)
-        value = interval_subgroup_sum(1, Interval(0, 12), sub)
+        value = interval_subgroup_sum(1, Interval(0, 12), all_sums(sub))
         assert value == pytest.approx(12.0, abs=1e-8)
 
     def test_rejects_zero_a(self):
         with pytest.raises(InputError):
-            interval_subgroup_sum(13, Interval(0, 3), subgroup_of_order(13, 3))
+            interval_subgroup_sum(13, Interval(0, 3), all_sums(subgroup_of_order(13, 3)))
 
     def test_table_equals_magnitude_prefix_sum(self):
         sub = subgroup_of_order(101, 10)
         table = all_sums(sub)
-        value = interval_subgroup_sum(1, Interval(0, 10), sub, table=table)
+        value = interval_subgroup_sum(1, Interval(0, 10), table)
         assert value == pytest.approx(float(np.sum(magnitudes(table)[1:11])), abs=1e-9)
 
     def test_table_and_direct_agree(self):
@@ -261,14 +261,9 @@ class TestIntervalSubgroupSum:
         table = all_sums(sub)
         for a, start, length in [(1, 0, 10), (7, 50, 33), (100, 90, 20)]:
             iv = Interval(start, length)
-            via_table = interval_subgroup_sum(a, iv, sub, table=table)
+            via_table = interval_subgroup_sum(a, iv, table)
             direct = math.fsum(abs(subgroup_sum(a * int(n), sub.elements, 101)) for n in iv.residues(101))
             assert abs(via_table - direct) <= 1e-5 * max(direct, 1.0)
-
-    def test_builds_its_table_when_none_is_given(self):
-        sub = subgroup_of_order(101, 10)
-        iv = Interval(7, 33)
-        assert interval_subgroup_sum(3, iv, sub) == interval_subgroup_sum(3, iv, sub, table=all_sums(sub))
 
 
 def test_max_sum_allocates_nothing_of_length_p():
@@ -278,7 +273,7 @@ def test_max_sum_allocates_nothing_of_length_p():
     tracemalloc.start()
     try:
         sub = subgroup_of_order(p, h)
-        max_sum(sub)
+        max_sum(all_sums(sub))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -20,6 +20,7 @@ from expsumlab import (
     divisors,
     dyadic_stage,
     is_prime,
+    j_count,
     max_sum,
     moment_inequality_check,
     representation_counts,
@@ -27,7 +28,7 @@ from expsumlab import (
     subgroup_of_order,
     trilinear_eval,
 )
-from expsumlab import prooftrace
+from expsumlab import expsum, prooftrace
 from oracles import residue_level_trace, spread, subgroup_sum, tuple_level_trace
 from test_acceptance import TRACE_ORDERS
 
@@ -73,9 +74,9 @@ class TestDyadicStage:
         # 27-triple bucketing
         p = 13
         sub = subgroup_of_order(p, 3)
-        a, mx = max_sum(sub)
-        delta = mx / 3
         table = all_sums(sub)
+        a, mx = max_sum(table)
+        delta = mx / 3
         lam = np.arange(p, dtype=np.int64)
         r3 = representation_counts(table, 3)
         mags = spread(table.index, table.coset_magnitudes, 3)
@@ -225,7 +226,7 @@ class TestTrilinearEval:
 
         for target, name in [
             (np, "fft"),
-            (prooftrace, "all_sums"),
+            (expsum, "all_sums"),
             (prooftrace, "cyclic_correlation"),
             (prooftrace, "_pair_sums"),
             (Subgroup, "coset_index"),
@@ -278,20 +279,20 @@ class TestTrilinearEval:
 
 class TestBuildTrace:
     def test_full_group_degenerate(self):
-        tr = build_trace(subgroup_of_order(13, 12))
+        tr = build_trace(all_sums(subgroup_of_order(13, 12)))
         assert tr.degenerate
         assert "full group" in tr.reason
         assert tr.checks == []
 
     def test_p13_h3_all_checks_pass(self):
-        tr = build_trace(subgroup_of_order(13, 3))
+        tr = build_trace(all_sums(subgroup_of_order(13, 3)))
         assert not tr.degenerate
         assert tr.all_passed
         assert len(tr.checks) >= 17
 
     def test_p13_h3_matches_tuple_level_oracle(self):
         sub = subgroup_of_order(13, 3)
-        tr = build_trace(sub)
+        tr = build_trace(all_sums(sub))
         oracle = tuple_level_trace(13, sub.elements, tr.a)
         assert [int(v) for v in tr.sets.x] == oracle["x"]
         assert [int(v) for v in tr.sets.y] == oracle["y"]
@@ -305,28 +306,28 @@ class TestBuildTrace:
 
     def test_p1009_h48_out_of_range_but_traceable(self):
         # 48 > sqrt(1009): outside the headline window, the machinery still runs
-        tr = build_trace(subgroup_of_order(1009, 48))
+        tr = build_trace(all_sums(subgroup_of_order(1009, 48)))
         assert not tr.degenerate
         assert tr.all_passed
 
     def test_trilinear_direct_agreement_small(self):
-        tr = build_trace(subgroup_of_order(13, 3))
+        tr = build_trace(all_sums(subgroup_of_order(13, 3)))
         assert tr.trilinear_direct is not None
         assert tr.trilinear_direct == pytest.approx(tr.trilinear_sum, rel=1e-9)
 
     def test_x_weights_are_representation_counts(self):
         sub = subgroup_of_order(1009, 16)
-        tr = build_trace(sub)
+        tr = build_trace(all_sums(sub))
         r3 = representation_counts(all_sums(sub), 3)
         assert np.array_equal(tr.sets.x_weights, spread(r3.index, r3.per_coset, r3.at_zero)[tr.sets.x])
 
     def test_zero_excluded_from_sets(self):
-        tr = build_trace(subgroup_of_order(1009, 16))
+        tr = build_trace(all_sums(subgroup_of_order(1009, 16)))
         for arr in (tr.sets.x, tr.sets.y, tr.sets.z):
             assert 0 not in arr
 
     def test_reported_ratios_finite(self):
-        tr = build_trace(subgroup_of_order(1009, 16))
+        tr = build_trace(all_sums(subgroup_of_order(1009, 16)))
         for key, value in tr.reported.items():
             assert np.isfinite(value), key
 
@@ -334,7 +335,7 @@ class TestBuildTrace:
 def _trace_or_empty_stage(sub):
     """(trace, None), or (trace, k) when stage k leaves no nonzero residue and
     the trace is degenerate with the stage in its reason."""
-    tr = build_trace(sub)
+    tr = build_trace(all_sums(sub))
     if not tr.degenerate:
         return tr, None
     return tr, int(re.search(r"stage-(\d)", tr.reason).group(1))
@@ -375,7 +376,7 @@ def test_residue_level_oracle(p, h):
     """The coset stages against the per-residue stage 2 (one x at a time) and
     stage 3 (X x Y products and a length-p FFT)."""
     sub = subgroup_of_order(p, h)
-    tr = build_trace(sub)
+    tr = build_trace(all_sums(sub))
     oracle = residue_level_trace(p, sub.elements, tr.a)
     assert tr.sets.x.tolist() == oracle["x"]
     assert tr.sets.x_weights.tolist() == oracle["x_weights"]
@@ -393,36 +394,42 @@ def test_residue_level_oracle_empty_stage3():
     tr, empty = _trace_or_empty_stage(sub)
     assert empty == 3
     assert tr.reason == "stage-3 bucket holds only the zero residue"
-    assert tr.reported == {"delta": max_sum(sub)[1] / 22}
+    assert tr.reported == {"delta": max_sum(all_sums(sub))[1] / 22}
     assert residue_level_trace(36697, sub.elements, tr.a)["empty_stage"] == 3
 
 
 def test_trilinear_direct_check_within_budget_over_h():
     """The budget counts |X||Y||Z|/H: just within it the literal check runs
     and gives the unlimited trace's value; just above it no check runs."""
-    sub = subgroup_of_order(16111, 18)
-    full = build_trace(sub)
+    table = all_sums(subgroup_of_order(16111, 18))
+    full = build_trace(table)
     terms = full.sets.x.size * full.sets.y.size * full.sets.z.size
-    tr = build_trace(sub, trilinear_budget=terms // 18 + 1)
+    tr = build_trace(table, trilinear_budget=terms // 18 + 1)
     assert tr.all_passed and tr.trilinear_direct is not None
     assert tr.trilinear_direct == full.trilinear_direct
     assert tr.checks[-1].name == "trilinear_direct_agreement"
-    below = build_trace(sub, trilinear_budget=terms // 18 - 1)
+    below = build_trace(table, trilinear_budget=terms // 18 - 1)
     assert below.trilinear_direct is None and below.all_passed
     assert "trilinear_direct_agreement" not in [c.name for c in below.checks]
+
+
+def _moment_check(interval, sub, a, m):
+    table = all_sums(sub)
+    r_m = representation_counts(table, m)
+    return moment_inequality_check(interval, table, a, m, r_m, j_count(interval, sub))
 
 
 class TestMomentInequality:
     def test_trivial_subgroup(self):
         sub = subgroup_of_order(101, 1)
         for m in (2, 3):
-            c = moment_inequality_check(Interval(0, 10), sub, 1, m)
+            c = _moment_check(Interval(0, 10), sub, 1, m)
             assert c.passed
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_p101_interval(self, m):
         sub = subgroup_of_order(101, 10)
-        c = moment_inequality_check(Interval(0, 10), sub, 1, m)
+        c = _moment_check(Interval(0, 10), sub, 1, m)
         assert c.passed
         assert c.lhs <= c.rhs * (1 + 1e-6)
 
@@ -430,4 +437,4 @@ class TestMomentInequality:
         from expsumlab import InputError
 
         with pytest.raises(InputError):
-            moment_inequality_check(Interval(0, 10), subgroup_of_order(101, 10), 1, 1)
+            _moment_check(Interval(0, 10), subgroup_of_order(101, 10), 1, 1)

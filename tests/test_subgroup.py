@@ -18,7 +18,7 @@ from expsumlab import (
     representation_counts,
     subgroup_of_order,
 )
-from expsumlab import subgroup
+from expsumlab import field, subgroup
 from oracles import (
     coset_labels,
     exact_sum,
@@ -81,6 +81,23 @@ def test_determinism():
     b = subgroup_of_order(1009, 48)
     assert np.array_equal(a.elements, b.elements)
     assert a.generator == b.generator
+
+
+def test_primitive_root_found_once_per_case(monkeypatch):
+    """The subgroup keeps the primitive root its generator comes from, and
+    the coset index reads it: one root search and one factorization of p - 1
+    build the subgroup and its sum table."""
+    calls = Counter()
+    for module, name in ((subgroup, "primitive_root"), (field, "factorize")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    sub = subgroup_of_order(9999991, 99)
+    table = all_sums(sub)
+    assert calls == {"primitive_root": 1, "factorize": 1}
+    assert table.index.root == sub.root and pow(sub.root, (sub.p - 1) // 99, sub.p) == sub.generator
 
 
 @pytest.mark.parametrize("p,h", [(13, 3), (13, 6), (101, 10), (257, 16), (1009, 48)])
@@ -228,7 +245,7 @@ def test_coset_index_small_blocks(monkeypatch, block, p, h):
     # a* is the least residue within twice the period error of the maximum
     mags = spread(index, table.coset_magnitudes, h)[1:]
     a_star = 1 + int(np.flatnonzero(mags >= mags.max() - 2 * table.period_error)[0])
-    assert max_sum(sub, table=table) == (a_star, mags.max())
+    assert max_sum(table) == (a_star, mags.max())
     assert representation_counts(table, 2).energy == tuple_count_T(elems, p, 2)
 
 
