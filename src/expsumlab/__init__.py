@@ -2,9 +2,9 @@
 multiplicative subgroups of prime fields.
 
 Computes S_a over a subgroup (one Gaussian period per multiplicative coset,
-read off a single discrete-log coset index), interval-weighted double sums,
-exact additive energies and product-collision counts evaluated once per
-coset, every closed-form bound with exact rational exponents, and the
+read off the subgroup's own discrete-log coset index), interval-weighted
+double sums, exact additive energies and product-collision counts evaluated
+once per coset, every closed-form bound with exact rational exponents, and the
 dyadic pigeonhole cascade with its deterministic inequality chain.
 """
 
@@ -46,7 +46,7 @@ _EXPORTS = {
         "moment_inequality_check",
         "trilinear_eval",
     ),
-    "subgroup": ("CosetIndex", "Subgroup", "subgroup_of_order"),
+    "subgroup": ("Subgroup", "subgroup_of_order"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

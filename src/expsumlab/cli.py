@@ -75,8 +75,6 @@ class ScanConfig:
     interval_power: float | None = None
     moments: tuple[int, ...] = ()
     threads: int = 1
-    fmt: str = "csv"
-    output: str | None = None
     dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self) -> None:
@@ -88,8 +86,6 @@ class ScanConfig:
             raise InputError(f"interval power must be finite, got {self.interval_power}")
         if self.threads < 1:
             raise InputError("thread count must be >= 1")
-        if self.fmt not in ("csv", "json"):
-            raise InputError(f"unknown format {self.fmt!r}")
         for m in self.moments:
             if m not in (2, 3):
                 raise InputError(f"moments must be 2 and/or 3, got {m}")
@@ -170,7 +166,7 @@ def _scan_case(args: tuple[int, int, ScanConfig]) -> dict:
             s_int = interval_subgroup_sum(a_star, interval, table)
             row["ratio2"] = s_int / row["thm2"]
             row["ratio3"] = s_int / row["thm3"]
-            row["J"] = j_count(interval, sub).energy
+            row["J"] = j_count(interval, table).energy
         for m in config.moments:
             prof = representation_counts(table, m)
             row[f"T{m}"] = prof.energy
@@ -376,15 +372,13 @@ def cmd_scan(args) -> int:
         interval_power=args.interval_power,
         moments=moments,
         threads=args.threads,
-        fmt=args.format,
-        output=args.output,
         dense_limit=args.dense_limit,
     )
     rows, fits = run_scan(config)
     if not rows:
         print("warning: no (p, H) case matches the window", file=sys.stderr)
-    if config.fmt == "csv":
-        _write_output(render_scan_csv(rows), config.output)
+    if args.format == "csv":
+        _write_output(render_scan_csv(rows), args.output)
         for f in fits:
             print(
                 f"# fit band={f.band} delta_hat={f.delta_hat!r} intercept={f.intercept!r} "
@@ -392,7 +386,7 @@ def cmd_scan(args) -> int:
                 file=sys.stderr,
             )
     else:
-        _write_output(render_scan_json(rows, fits), config.output)
+        _write_output(render_scan_json(rows, fits), args.output)
     failures = [r for r in rows if r["error"]]
     for r in failures:
         print(f"warning: case p={r['p']} H={r['H']}: {r['error']}", file=sys.stderr)
@@ -407,7 +401,7 @@ def cmd_trace(args) -> int:
     interval = r2 = r3 = j_prof = None
     if args.interval_length is not None:
         interval = Interval(start=args.interval_start or 0, length=args.interval_length)
-        j_prof = j_count(interval, sub)
+        j_prof = j_count(interval, table)
         r2 = representation_counts(table, 2)
         r3 = representation_counts(table, 3)
     # the table goes positionally: perfbench/layers.py reads p from the first argument

@@ -2,11 +2,12 @@
 product-collision counts between an interval and a subgroup.
 
 Every count here is constant on the multiplicative cosets of the subgroup,
-so it is evaluated and kept once per coset of the coset index, plus once at
-0; nothing of length p is returned.  The additive counts come from the
+so it is evaluated and kept once per coset of the subgroup, plus once at 0;
+nothing of length p is returned.  The additive counts come from the
 Gaussian periods of the sum table by one length-M correlation each, rounded
 under a derived error bound and refused where that bound does not certify
-the rounding; the product counts read the coset of each interval residue.
+the rounding; the product counts read the coset of each interval residue
+from the subgroup of the sum table.
 Everything is integer-exact: the counts run in int64 (they fit whenever the
 H^{2m} overflow guard passes), and each profile's energy sums their squares
 in int64 where the counts bound that sum below 2^63, in Python ints otherwise.
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .expsum import Interval, SumTable
-from .subgroup import CosetIndex, Subgroup
+from .subgroup import Subgroup
 
 # Budget guard: ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
@@ -32,7 +33,7 @@ FFT_ERROR = 26
 
 @dataclass(eq=False)
 class CosetProfile:
-    """A count that is per_coset[j] at every residue of coset j of index and
+    """A count that is per_coset[j] at every residue of coset j of sub and
     at_zero at 0, with energy the sum of its squares over all residues,
     exact: representation_counts gives the m-fold sums of subgroup elements
     (energy T_m), difference_counts the differences h1 - h2 (energy T_2),
@@ -41,7 +42,7 @@ class CosetProfile:
 
     per_coset: np.ndarray
     at_zero: int
-    index: CosetIndex = field(repr=False)
+    sub: Subgroup = field(repr=False)
     energy: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -52,7 +53,7 @@ class CosetProfile:
             squares = int(np.dot(c, c))
         else:
             squares = sum(int(v) * int(v) for v in c[c > 0])
-        self.energy = self.at_zero * self.at_zero + self.index.order * squares
+        self.energy = self.at_zero * self.at_zero + self.sub.order * squares
 
 
 def _padded_length(cosets: int) -> int:
@@ -124,7 +125,7 @@ def representation_counts(table: SumTable, m: int) -> CosetProfile:
     """m-fold additive representation counts r_m(lam), the number of m-tuples
     of subgroup elements summing to lam, once per coset, from the periods.
 
-    On coset k of the coset index, r_m(g^k) = p^-1 * sum over a of S_a^m
+    On coset k of the subgroup, r_m(g^k) = p^-1 * sum over a of S_a^m
     e(-a g^k/p) = (H^m + sum over j of eta_j^m * conj(eta_(j+k mod M))) / p,
     as S_a = eta_j on the H residues of coset j, and r_m(0) = (H^m + H *
     sum over j of eta_j^m) / p.  That is H times the integer
@@ -184,7 +185,7 @@ def representation_counts(table: SumTable, m: int) -> CosetProfile:
     if m == 2:
         # h1 + h2 = 0 has H solutions when -1 lies in H (even H), else none
         assert at_zero == (order if order % 2 == 0 else 0), "r_2(0) is not H or 0"
-    return CosetProfile(per_coset, at_zero, table.index)
+    return CosetProfile(per_coset, at_zero, table.sub)
 
 
 def difference_counts(table: SumTable) -> CosetProfile:
@@ -193,7 +194,7 @@ def difference_counts(table: SumTable) -> CosetProfile:
     order = table.order
     per_coset, at_zero = _profile(table, table.coset_magnitudes**2, 2)
     assert at_zero == order, "h1 - h2 = 0 has H solutions"
-    return CosetProfile(per_coset, at_zero, table.index)
+    return CosetProfile(per_coset, at_zero, table.sub)
 
 
 def energy_via_moments(table: SumTable, m: int) -> float:
@@ -251,13 +252,13 @@ def moment_error_bound(table: SumTable, m: int) -> float:
     return (order * periods / table.p + 4 * u * energy_via_moments(table, m)) * (1 + 1e-6)
 
 
-def j_count(interval: Interval, sub: Subgroup) -> CosetProfile:
-    """Exact product-collision profile: n*h = lam has one solution h for each
-    nonzero n in the interval lying in the coset of lam, so the profile is
-    the per-coset count c_j of the interval, and J = H * sum c_j^2 + [0 in I] H^2."""
-    p, order = sub.p, sub.order
-    res = interval.residues(p)
-    index = sub.coset_index()
+def j_count(interval: Interval, table: SumTable) -> CosetProfile:
+    """Exact product-collision profile of the interval with the table's
+    subgroup: n*h = lam has one solution h for each nonzero n in the interval
+    lying in the coset of lam, so the profile is the per-coset count c_j of
+    the interval, and J = H * sum c_j^2 + [0 in I] H^2."""
+    sub = table.sub
+    res = interval.residues(sub.p)
     nonzero = res[res != 0]
-    per_coset = np.bincount(index.coset_of(nonzero), minlength=index.cosets).astype(np.int64)
-    return CosetProfile(per_coset, order * (res.size - nonzero.size), index)
+    per_coset = np.bincount(sub.coset_of(nonzero), minlength=sub.cosets).astype(np.int64)
+    return CosetProfile(per_coset, sub.order * (res.size - nonzero.size), sub)

@@ -2,12 +2,14 @@
 
 S_a is constant on the multiplicative cosets of the subgroup, so the full
 table is the list of Gaussian periods eta_j = sum over i of e(g^(j+iM)/p),
-one per coset, read off the coset index (g a primitive root, M = (p-1)/H):
-S_a is the period of the coset of a, and S_0 = H.  Each phase e(x/p) is the
-product of two entries of tables with about sqrt(p) entries each, and only
-half the power table is visited: for odd H the periods of the second half
-of the cosets are the exact conjugates of the first, for even H every
-period is exactly real.  So |S_-a| = |S_a| holds exactly, each phase is within
+one per coset of the subgroup (g its primitive root, M = (p-1)/H): S_a is
+the period of the coset of a, and S_0 = H.  The table keeps the subgroup,
+so every later layer reaches the coset index through it, behind the one
+dense-limit check of all_sums.  Each phase e(x/p) is the product of two
+entries of tables with about sqrt(p) entries each, and only half the power
+table is visited: for odd H the periods of the second half of the cosets
+are the exact conjugates of the first, for even H every period is exactly
+real.  So |S_-a| = |S_a| holds exactly, each phase is within
 PHASE_ERROR * 2^-53 of e(x/p) (derived in energy.energy_via_moments), and
 every table lies within 1e-6 * H of a DFT of the subgroup indicator."""
 
@@ -19,8 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, ResourceError
-from .subgroup import DEFAULT_DENSE_LIMIT, TABLE_BLOCK, CosetIndex, Subgroup, residue_grid
+from .subgroup import Subgroup, residue_grid
 
+# Largest p for which the sum table is built; it holds no array of length p,
+# but takes about p/2 phase lookups.
+DEFAULT_DENSE_LIMIT = 10**7
+# Entries per residue_grid block of the power table (the sum table) and of
+# the a* search: small enough to stay in cache, so no block faults in fresh
+# pages.
+TABLE_BLOCK = 2**14
 # Bound, in units of u = 2^-53, on the error of one phase of the sum table;
 # derived in energy.energy_via_moments.
 PHASE_ERROR = 29
@@ -43,9 +52,9 @@ class Interval:
 class SumTable:
     """S_a = sum over subgroup of e(a*x/p) for every a, one value per coset.
 
-    eta[j] is the Gaussian period S_(g^j) of coset j of the coset index and
+    eta[j] is the Gaussian period S_(g^j) of coset j of the subgroup sub and
     coset_magnitudes[j] = |eta_j| the common magnitude on that coset; S_a is
-    eta[index.coset_of(a)] for a != 0, and S_0 is the subgroup order.  Every
+    eta[sub.coset_of(a)] for a != 0, and S_0 is the subgroup order.  Every
     eta[j] lies within period_error of the exact period, and every
     coset_magnitudes[j] within it of |eta_j| (derived in
     energy.energy_via_moments from the blocks all_sums adds).
@@ -55,7 +64,7 @@ class SumTable:
     order: int
     coset_magnitudes: np.ndarray
     eta: np.ndarray
-    index: CosetIndex = field(repr=False)
+    sub: Subgroup = field(repr=False)
     period_error: float
     strategy = "direct"  # one sum per coset; not a field
 
@@ -94,40 +103,44 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     summed; for even H it lies in H, so row i + H/2 is minus row i and only
     rows i < H/2 are summed.  A period is the sum of the block sums of its
     column, so the table's period_error is read off the shapes of the blocks
-    this loop adds (derived in energy.energy_via_moments).
+    this loop adds (derived in energy.energy_via_moments).  A p above
+    dense_limit, or above the int64 limit of the subgroup's products, is
+    refused with ResourceError.
     """
     p, order = sub.p, sub.order
     if p > dense_limit:
         raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
-    index = sub.coset_index(dense_limit)
-    m = index.cosets
+    m = sub.cosets
+    odd = order % 2 == 1
+    rows, cols = (order, m // 2) if odd else (order // 2, m)
+    # sub.reps refuses a p above the int64 limit before any table is built
+    grid = residue_grid(np.multiply, sub.elements[:rows], sub.reps[:cols], p, TABLE_BLOCK)
     b, hi, lo = phase_tables(p)
     shift, mask = b.bit_length() - 1, b - 1
-    odd = order % 2 == 1
-    eta = np.zeros(m // 2 if odd else m, dtype=np.complex128)
+    eta = np.zeros(cols, dtype=np.complex128)
     # buffers reused by every block
     quo = np.empty(TABLE_BLOCK, dtype=np.int64)
     high, low = np.empty((2, TABLE_BLOCK), dtype=np.complex128)
     # the most rows a block sums, and the block sums added into one period:
     # every column is tiled by the same rows as column 0
     height, adds = 1, 0
-    for cols, block in index.blocks(cols=m // 2) if odd else index.blocks(rows=order // 2):
+    for _, cs, block in grid:
         n, shape = block.size, block.shape
-        if cols.start == 0:
+        if cs.start == 0:
             height, adds = max(height, shape[0]), adds + 1
         q = np.right_shift(block, shift, out=quo[:n].reshape(shape))
         z = np.take(hi, q, out=high[:n].reshape(shape), mode="clip")
         r = np.bitwise_and(block, mask, out=block)
         w = np.take(lo, r, out=low[:n].reshape(shape), mode="clip")
         np.multiply(z, w, out=z)
-        eta[cols] += z[0] if shape[0] == 1 else z.sum(axis=0)
+        eta[cs] += z[0] if shape[0] == 1 else z.sum(axis=0)
     error = order * 2.0**-53 * (PHASE_ERROR + 2 + 1.5 * (height - 1 + adds))
     if odd:
-        # conjugate cosets share their magnitudes, so |S_-a| = |S_a| exactly
         eta = np.concatenate((eta, eta.conj()))
-        return SumTable(p, order, np.tile(np.abs(eta[: m // 2]), 2), eta, index, error)
-    eta = (2 * eta.real).astype(np.complex128)
-    return SumTable(p, order, np.abs(eta.real), eta, index, error)
+    else:
+        eta = (2 * eta.real).astype(np.complex128)
+    # abs is exact on a conjugate and on a zero imaginary part, so |S_-a| = |S_a| exactly
+    return SumTable(p, order, np.abs(eta), eta, sub, error)
 
 
 def max_sum(table: SumTable) -> tuple[int, float]:
@@ -135,10 +148,10 @@ def max_sum(table: SumTable) -> tuple[int, float]:
     whose magnitude is within twice the table's period_error of the maximum:
     every coset whose true |eta_j| attains the true maximum is among them, so
     a* does not depend on the last bits of the table."""
-    c = table.coset_magnitudes
+    c, sub = table.coset_magnitudes, table.sub
     best = c.max()
-    reps = table.index.reps[c >= best - 2 * table.period_error]
-    grid = residue_grid(np.multiply, reps, table.index.steps, table.p, TABLE_BLOCK)
+    reps = sub.reps[c >= best - 2 * table.period_error]
+    grid = residue_grid(np.multiply, reps, sub.elements, table.p, TABLE_BLOCK)
     a_star = min(int(x.min()) for _, _, x in grid)
     return a_star, float(best)
 
@@ -149,5 +162,5 @@ def interval_subgroup_sum(a: int, interval: Interval, table: SumTable) -> float:
     a = int(a) % p
     if a == 0:
         raise InputError("a must be nonzero mod p")
-    cosets = table.index.coset_of(a * interval.residues(p) % p)
+    cosets = table.sub.coset_of(a * interval.residues(p) % p)
     return float(np.sum(np.append(table.coset_magnitudes, float(table.order))[cosets]))

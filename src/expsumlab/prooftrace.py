@@ -19,7 +19,7 @@ sums over X are a cyclic correlation of the coset magnitudes with X; the
 X x Y product counts depend only on the coset of the product; and the stage-3
 spectrum is a correlation of those counts with the Gaussian periods.  So
 every stage runs on arrays of length M + 1 (M = (p-1)/H): entry 0 is the
-residue 0 and entry 1 + k is coset k of the coset index, weighted by exact
+residue 0 and entry 1 + k is coset k of the subgroup, weighted by exact
 representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
 of cosets; they are expanded to residues only for the result and for the
 literal trilinear check.  That check (trilinear_eval) shares nothing with the
@@ -450,7 +450,7 @@ def build_trace(
     a = int(a) % p
     if a == 0:
         raise InputError("a must be nonzero mod p")
-    shift = int(table.index.coset_of(a))  # a lies in coset `shift`
+    shift = int(table.sub.coset_of(a))  # a lies in coset `shift`
     mag_a = float(table.coset_magnitudes[shift])
     delta = mag_a / H
     if H == p - 1:
@@ -466,7 +466,7 @@ def build_trace(
 def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
     """The three stages of build_trace for a with |S_a| = mag_a > 1 in coset shift."""
     p, H = table.p, table.order
-    index = table.index
+    sub = table.sub
     delta = mag_a / H
     if r2 is None:
         r2 = representation_counts(table, 2)
@@ -504,7 +504,7 @@ def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
 
     # Stage 2: triples (y1,y2,y3), value sum over x in X of |S_{a*x*mu}|;
     # on coset k it is H * sum over the X-cosets j of mags[j + k].
-    in_x = np.zeros(index.cosets)
+    in_x = np.zeros(sub.cosets)
     in_x[xc] = 1.0
     val2 = _slots(float(H * nx), H * cyclic_correlation(in_x, mags).real)
     st2, yc = _stage(
@@ -520,7 +520,7 @@ def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
     # which depends only on the coset k of d = z1-z2.  Coset pairs (i, j)
     # of X x Y put H products on each residue of coset i + j, so the value is
     # |sum over c of w_c * eta_{c + shift + k}| with exact counts w_c.
-    w = H * _pair_sums(xc, yc, index.cosets)
+    w = H * _pair_sums(xc, yc, sub.cosets)
     scale3 = float(nx) * float(ny)
     v = _slots(scale3, np.abs(cyclic_correlation(w, np.roll(table.eta, -shift))))
     rdiff = r2 if H % 2 == 0 else difference_counts(table)
@@ -545,10 +545,10 @@ def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
             note="every member of the stage-3 bucket exceeds |X||Y| * delta3",
         )
     )
-    x, y, z = index.members(xc), index.members(yc), index.members(zc)
+    x, y, z = sub.members(xc), sub.members(yc), sub.members(zc)
     tri_direct = None
     if nx * ny * nz <= trilinear_budget * H:
-        tri_direct = trilinear_eval(x, y, z, a, p, trilinear_budget, index.steps)
+        tri_direct = trilinear_eval(x, y, z, a, p, trilinear_budget, sub.elements)
         note = "direct per-z evaluation vs spectral stage-3 values"
         checks.append(_check_close("trilinear_direct_agreement", tri_direct, ts_spectral, note=note))
     tri_bound = trilinear_bound(nx, ny, nz, p)
@@ -566,7 +566,7 @@ def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
     )
     sets = TraceSets(
         x=x,
-        x_weights=r3.per_coset[index.coset_of(x)],
+        x_weights=r3.per_coset[sub.coset_of(x)],
         y=y,
         z=z,
         g1=g1,

@@ -4,7 +4,7 @@ discrete-log index of their cosets."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -14,13 +14,6 @@ from .field import PrimeModulus, primitive_root
 
 # Largest subgroup order whose elements are listed (8 bytes each).
 ELEMENT_LIMIT = 10**7
-# Largest p for which the coset index and the sum table are built.  Neither
-# holds an array of length p.
-DEFAULT_DENSE_LIMIT = 10**7
-# Entries per residue_grid block of the power table (the sum table) and of
-# the a* search: small enough to stay in cache, so no block faults in fresh
-# pages.
-TABLE_BLOCK = 2**14
 # Largest p - 1 whose square fits in int64.  The coset index and the literal
 # trilinear check multiply two residues in int64, which wraps above it.
 INT64_PRODUCT_LIMIT = math.isqrt(2**63 - 1)
@@ -61,64 +54,6 @@ def residue_grid(op, r: np.ndarray, c: np.ndarray, n: int, block: int):
             yield rows, cols, np.subtract(x, q, out=x)
 
 
-@dataclass(frozen=True, eq=False)
-class CosetIndex:
-    """Discrete logs to a primitive root g, reduced to the M = (p-1)/H cosets.
-
-    The power table g^(iM+j), laid out as an H x M matrix whose column j is
-    coset j, is never stored: reps[j] = g^j (coset 0 is the subgroup) and
-    steps[i] = g^(iM) give it a block at a time.  steps is the subgroup's own
-    elements array, not a copy, so the index adds O(M) memory to the
-    subgroup's; coset_of(x) is the coset of each residue x, M for x = 0.
-    """
-
-    p: int
-    order: int
-    root: int
-    reps: np.ndarray
-    steps: np.ndarray
-
-    @property
-    def cosets(self) -> int:
-        return (self.p - 1) // self.order
-
-    def blocks(self, rows: int | None = None, cols: int | None = None):
-        """(cols, block) pairs covering the first `rows` rows and `cols`
-        columns of the power table (all of them by default), in blocks of at
-        most TABLE_BLOCK entries from residue_grid."""
-        grid = residue_grid(np.multiply, self.steps[:rows], self.reps[:cols], self.p, TABLE_BLOCK)
-        return ((cs, block) for _, cs, block in grid)
-
-    @cached_property
-    def _power_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """(keys, cosets): keys = 0 and the M residues g^(jH), sorted, and
-        cosets[i] the j of keys[i] (M for the key 0)."""
-        m = self.cosets
-        powers = _geometric(pow(self.root, self.order, self.p), m, self.p)
-        order = np.argsort(powers)
-        return np.append(0, powers[order]), np.append(m, order)
-
-    def coset_of(self, residues) -> np.ndarray:
-        """The coset of each residue, M for 0: x = g^k has
-        x^H = g^(kH), and g^H has order M, so x^H = g^(jH) exactly when
-        k = j mod M.  x^H is taken by square-and-multiply in int64 (at most
-        2 log2 H products a residue) and found by bisection among the M powers
-        g^(jH), which are built and sorted on first use (O(M log M))."""
-        p = self.p
-        base = np.asarray(residues, dtype=np.int64) % p
-        power = np.ones_like(base)
-        for bit in bin(self.order)[2:]:
-            power = power * power % p
-            if bit == "1":
-                power = power * base % p
-        keys, cosets = self._power_keys
-        return cosets[np.searchsorted(keys, power)]
-
-    def members(self, cosets: np.ndarray) -> np.ndarray:
-        """The residues of the given cosets, sorted."""
-        return np.sort(self.reps[cosets, None] * self.steps % self.p, axis=None)
-
-
 def _geometric(g: int, n: int, p: int) -> np.ndarray:
     """g^k mod p for k = 0..n-1, doubling the known prefix at each step.
 
@@ -135,13 +70,19 @@ def _geometric(g: int, n: int, p: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """The unique multiplicative subgroup of order `order` dividing p - 1.
+    """The unique multiplicative subgroup of order `order` dividing p - 1, and
+    the discrete-log index of its M = (p-1)/H cosets.
 
     `elements` holds its H residues in power order, g^k for k = 0..H-1 with
-    g = root^((p-1)/H) the generator and root the primitive root it was
-    derived from, immutable after construction and safe to share across
-    workers; nothing of length p is built with it.  The coset index is built
-    on first use and kept, with `elements` as its power table's rows.
+    g = root^M the generator and root the primitive root it was derived from,
+    immutable after construction and safe to share across workers; nothing
+    of length p is built with it.  The power table root^(iM+j), laid out as
+    an H x M matrix whose column j is coset j, is never stored:
+    elements[i] = root^(iM) and reps[j] = root^j (coset 0 is the subgroup)
+    give it a block at a time.  reps and the keys of coset_of are built on
+    first use and kept, once p is within the int64 limit of their products,
+    so the index adds O(M) memory to the elements; coset_of(x) is the coset
+    of each residue x, M for x = 0.
     """
 
     p: int
@@ -149,25 +90,51 @@ class Subgroup:
     root: int
     generator: int
     elements: np.ndarray
-    _index: CosetIndex | None = field(default=None, init=False, repr=False)
     # Not a field: perfbench/layers.py:128 reads it to count a subgroup's dense
     # bytes, and None counts none.  It goes when in-program metrics replace
     # that tracer.
     indicator = None
 
-    def coset_index(self, dense_limit: int = DEFAULT_DENSE_LIMIT) -> CosetIndex:
-        """The coset index, built on first use once p is within dense_limit
-        and within the int64 limit of its residue products."""
-        if self._index is None:
-            p = self.p
-            if p > dense_limit:
-                raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
-            check_int64_products(p)
-            root, m = self.root, (p - 1) // self.order
-            # the generator is root^m, so elements[i] = root^(im) are the table's rows
-            index = CosetIndex(p, self.order, root, _geometric(root, m, p), self.elements)
-            object.__setattr__(self, "_index", index)
-        return self._index
+    @property
+    def cosets(self) -> int:
+        return (self.p - 1) // self.order
+
+    @cached_property
+    def reps(self) -> np.ndarray:
+        """root^j for j = 0..M-1, one residue of each coset."""
+        check_int64_products(self.p)
+        return _geometric(self.root, self.cosets, self.p)
+
+    @cached_property
+    def _power_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, cosets): keys = 0 and the M residues root^(jH), sorted, and
+        cosets[i] the j of keys[i] (M for the key 0)."""
+        check_int64_products(self.p)
+        m = self.cosets
+        powers = _geometric(pow(self.root, self.order, self.p), m, self.p)
+        order = np.argsort(powers)
+        return np.append(0, powers[order]), np.append(m, order)
+
+    def coset_of(self, residues) -> np.ndarray:
+        """The coset of each residue, M for 0: x = root^k has
+        x^H = root^(kH), and root^H has order M, so x^H = root^(jH) exactly
+        when k = j mod M.  x^H is taken by square-and-multiply in int64 (at
+        most 2 log2 H products a residue) and found by bisection among the M
+        powers root^(jH), which are built and sorted on first use
+        (O(M log M))."""
+        keys, cosets = self._power_keys
+        p = self.p
+        base = np.asarray(residues, dtype=np.int64) % p
+        power = np.ones_like(base)
+        for bit in bin(self.order)[2:]:
+            power = power * power % p
+            if bit == "1":
+                power = power * base % p
+        return cosets[np.searchsorted(keys, power)]
+
+    def members(self, cosets: np.ndarray) -> np.ndarray:
+        """The residues of the given cosets, sorted."""
+        return np.sort(self.reps[cosets, None] * self.elements % self.p, axis=None)
 
 
 def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:

@@ -80,12 +80,12 @@ def coset_labels(p: int, root: int, order: int) -> np.ndarray:
     return out
 
 
-def spread(index, per_coset, at_zero) -> np.ndarray:
-    """per_coset[j] at every residue of coset j of the index and at_zero at 0,
-    read through coset_labels built from the index's primitive root alone, so
-    that tests can compare values the package computed once per coset with
-    the oracles here residue by residue."""
-    return np.append(per_coset, at_zero)[coset_labels(index.p, index.root, index.order)]
+def spread(sub, per_coset, at_zero) -> np.ndarray:
+    """per_coset[j] at every residue of coset j of the subgroup and at_zero at
+    0, read through coset_labels built from the subgroup's primitive root
+    alone, so that tests can compare values the package computed once per
+    coset with the oracles here residue by residue."""
+    return np.append(per_coset, at_zero)[coset_labels(sub.p, sub.root, sub.order)]
 
 
 def cyclotomic_counts(p: int, root: int, elements, sign: int = 1) -> np.ndarray:

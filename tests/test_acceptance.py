@@ -63,7 +63,7 @@ def test_criterion_2_parseval():
         for p in (13, 101, 257, 1009):
             for h in divisors(p - 1):
                 table = all_sums(subgroup_of_order(p, h))
-                mags = spread(table.index, table.coset_magnitudes, h)
+                mags = spread(table.sub, table.coset_magnitudes, h)
                 assert parseval_defect(mags, p, h) < 1e-6, (p, h)
 
 
@@ -71,10 +71,10 @@ def test_criterion_3_complete_and_gauss_cases():
     with criterion(3, "complete-sum and half-order Gauss identities", 5.0):
         for p in (13, 101, 1009):
             full = all_sums(subgroup_of_order(p, p - 1))
-            mags = spread(full.index, full.coset_magnitudes, p - 1)
+            mags = spread(full.sub, full.coset_magnitudes, p - 1)
             assert float(np.max(np.abs(mags[1:] - 1.0))) < 1e-9, p
             half = all_sums(subgroup_of_order(p, (p - 1) // 2))
-            values = spread(half.index, half.eta, half.order)
+            values = spread(half.sub, half.eta, half.order)
             dev = np.abs(np.abs(2.0 * values[1:] + 1.0) - math.sqrt(p))
             assert float(dev.max()) < 1e-6, p
 
@@ -108,7 +108,7 @@ def test_criterion_5_j_count_oracle():
             expected = quadruple_loop_j(
                 [int(v) for v in iv.residues(p)], [int(v) for v in sub.elements], p
             )
-            assert j_count(iv, sub).energy == expected, (p, h, n_len, start)
+            assert j_count(iv, all_sums(sub)).energy == expected, (p, h, n_len, start)
 
 
 def test_criterion_6_moment_inequality():
@@ -126,7 +126,7 @@ def test_criterion_6_moment_inequality():
             iv = Interval(start, n_len)
             for m in (2, 3):
                 c = moment_inequality_check(
-                    iv, table, a, m, representation_counts(table, m), j_count(iv, sub)
+                    iv, table, a, m, representation_counts(table, m), j_count(iv, table)
                 )
                 assert c.passed, (p, h, n_len, start, a, m, c)
 

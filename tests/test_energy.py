@@ -40,7 +40,7 @@ from oracles import (
 
 def counts(prof):
     """The profile's count at every residue, spread from its per-coset counts."""
-    return spread(prof.index, prof.per_coset, prof.at_zero)
+    return spread(prof.sub, prof.per_coset, prof.at_zero)
 
 
 class TestCosetProfile:
@@ -52,7 +52,7 @@ class TestCosetProfile:
         [([TOP] * 4, True), ([TOP, 0, TOP - 1, 5], True), ([TOP + 1] * 4, False), ([3 * 10**9] * 4, False)],
     )
     def test_energy_exact_on_both_sides_of_the_int64_bound(self, monkeypatch, per_coset, int64):
-        index = subgroup_of_order(13, 3).coset_index()  # 4 cosets of 3 residues
+        sub = subgroup_of_order(13, 3)  # 4 cosets of 3 residues
         dots = []
         real = np.dot
 
@@ -61,7 +61,7 @@ class TestCosetProfile:
             return real(*args)
 
         monkeypatch.setattr(np, "dot", dot)
-        prof = CosetProfile(np.array(per_coset, dtype=np.int64), 6, index)
+        prof = CosetProfile(np.array(per_coset, dtype=np.int64), 6, sub)
         assert prof.energy == 36 + 3 * sum(c * c for c in per_coset)
         assert len(dots) == int64
         assert (4 * max(per_coset) ** 2 < 2**63) == int64
@@ -172,7 +172,7 @@ class TestCorrelationRoute:
         for p in (n for n in range(3, 120) if is_prime(n)):
             for h in divisors(p - 1):
                 sub = subgroup_of_order(p, h)
-                root, elems = sub.coset_index().root, [int(v) for v in sub.elements]
+                root, elems = sub.root, [int(v) for v in sub.elements]
                 labels = coset_labels(p, root, h)
                 for sign in (1, -1):
                     want = fold_counts(p, elems, 2, sign)
@@ -186,7 +186,7 @@ class TestCorrelationRoute:
         p, h = 2800001, 1400000
         sub = subgroup_of_order(p, h)
         table = all_sums(sub)
-        root = table.index.root
+        root = sub.root
         assert correlation_error_bound(table, 3) < 0.5
         for prof, want in (
             (representation_counts(table, 2), cyclotomic_counts(p, root, sub.elements)),
@@ -331,16 +331,16 @@ class TestBruteForce:
 class TestJCount:
     def test_single_residue_interval(self):
         sub = subgroup_of_order(13, 3)
-        assert j_count(Interval(0, 1), sub).energy == 3
+        assert j_count(Interval(0, 1), all_sums(sub)).energy == 3
 
     def test_trivial_subgroup(self):
         sub = subgroup_of_order(13, 1)
         for n in (1, 5, 13):
-            assert j_count(Interval(0, n), sub).energy == n
+            assert j_count(Interval(0, n), all_sums(sub)).energy == n
 
     def test_counts_sum(self):
         sub = subgroup_of_order(101, 10)
-        prof = j_count(Interval(3, 17), sub)
+        prof = j_count(Interval(3, 17), all_sums(sub))
         assert int(counts(prof).sum()) == 17 * 10
         assert prof.energy >= 17 * 10
 
@@ -348,7 +348,7 @@ class TestJCount:
         sub = subgroup_of_order(101, 10)
         iv = Interval(0, 10)
         expected = quadruple_loop_j([int(v) for v in iv.residues(101)], [int(v) for v in sub.elements], 101)
-        assert j_count(iv, sub).energy == expected
+        assert j_count(iv, all_sums(sub)).energy == expected
 
 
 @settings(max_examples=30)

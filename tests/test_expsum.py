@@ -19,7 +19,7 @@ from expsumlab import (
     subgroup_of_order,
 )
 from expsumlab.expsum import phase_tables
-from expsumlab.subgroup import TABLE_BLOCK
+from expsumlab.expsum import TABLE_BLOCK
 from oracles import indicator, naive_dft, parseval_defect, spread, subgroup_sum
 
 
@@ -30,12 +30,12 @@ def fft_sums(sub):
 
 def magnitudes(table):
     """|S_a| at every residue a, spread from the table's coset magnitudes."""
-    return spread(table.index, table.coset_magnitudes, table.order)
+    return spread(table.sub, table.coset_magnitudes, table.order)
 
 
 def values(table):
     """S_a at every residue a, spread from the table's Gaussian periods."""
-    return spread(table.index, table.eta, table.order)
+    return spread(table.sub, table.eta, table.order)
 
 
 def mp_magnitude(a, elements, p):
@@ -289,7 +289,7 @@ def test_periods_within_the_stored_error(p, h):
     sub = subgroup_of_order(p, h)
     table = all_sums(sub)
     tol = table.period_error + 30 * 2.0**-53 * h
-    for j in (0, table.index.cosets - 1):
-        s = single_sum(int(table.index.reps[j]), sub)
+    for j in (0, sub.cosets - 1):
+        s = single_sum(int(sub.reps[j]), sub)
         assert abs(table.eta[j] - s) <= tol, j
         assert abs(table.coset_magnitudes[j] - abs(s)) <= tol, j

@@ -16,9 +16,10 @@ from expsumlab import (
     j_count,
     max_sum,
     representation_counts,
+    single_sum,
     subgroup_of_order,
 )
-from expsumlab import field, subgroup
+from expsumlab import expsum, field, subgroup
 from oracles import (
     coset_labels,
     exact_sum,
@@ -46,14 +47,18 @@ def test_subgroup_elements_above_int64_products():
 
 
 def test_coset_index_refused_above_int64_products():
-    # (p - 1)^2 >= 2^63: the index's products g^(iM) * g^j would wrap in int64
+    # (p - 1)^2 >= 2^63: the index's products g^(iM) * g^j would wrap in int64;
+    # a refused p caches nothing, and single_sum builds no index
     for p, h in ((3037000507, 2), (4000000007, 2)):
         sub = subgroup_of_order(p, h)
-        with pytest.raises(ResourceError, match="int64"):
-            sub.coset_index(5 * 10**9)
+        for lookup in (lambda: sub.reps, lambda: sub.coset_of(3), lambda: sub.members([0])):
+            with pytest.raises(ResourceError, match="int64"):
+                lookup()
         with pytest.raises(ResourceError, match="int64"):
             all_sums(sub, dense_limit=5 * 10**9)
-        assert sub._index is None
+        assert not {"reps", "_power_keys"} & vars(sub).keys()
+        assert abs(single_sum(1, sub)) <= h
+        assert not {"reps", "_power_keys"} & vars(sub).keys()
 
 
 def test_coset_index_just_below_int64_products():
@@ -62,12 +67,13 @@ def test_coset_index_just_below_int64_products():
     p, h, lim = 3037000493, 4 * 492061, subgroup.INT64_PRODUCT_LIMIT
     assert lim**2 < 2**63 <= (lim + 1) ** 2
     assert p - 1 <= lim < 3037000507 - 1
-    index = subgroup_of_order(p, h).coset_index(5 * 10**9)
-    g, m = index.root, index.cosets
+    sub = subgroup_of_order(p, h)
+    g, m = sub.root, sub.cosets
     assert m == 1543
-    assert [int(v) for v in index.reps[-3:]] == [pow(g, j, p) for j in range(m - 3, m)]
-    assert [int(v) for v in index.steps[-3:]] == [pow(g, i * m, p) for i in range(h - 3, h)]
-    cols, block = next(index.blocks(rows=2))
+    assert [int(v) for v in sub.reps[-3:]] == [pow(g, j, p) for j in range(m - 3, m)]
+    assert [int(v) for v in sub.elements[-3:]] == [pow(g, i * m, p) for i in range(h - 3, h)]
+    grid = subgroup.residue_grid(np.multiply, sub.elements[:2], sub.reps, p, expsum.TABLE_BLOCK)
+    _, _, block = next(grid)
     assert [int(v) for v in block[1, -3:]] == [pow(g, m + j, p) for j in range(m - 3, m)]
 
 
@@ -97,7 +103,7 @@ def test_primitive_root_found_once_per_case(monkeypatch):
     sub = subgroup_of_order(9999991, 99)
     table = all_sums(sub)
     assert calls == {"primitive_root": 1, "factorize": 1}
-    assert table.index.root == sub.root and pow(sub.root, (sub.p - 1) // 99, sub.p) == sub.generator
+    assert table.sub is sub and pow(sub.root, (sub.p - 1) // 99, sub.p) == sub.generator
 
 
 @pytest.mark.parametrize("p,h", [(13, 3), (13, 6), (101, 10), (257, 16), (1009, 48)])
@@ -116,12 +122,12 @@ def test_subgroup_structure(p, h):
 
 
 def test_coset_index_examples():
-    assert subgroup_of_order(13, 12).coset_index().cosets == 1
-    index = subgroup_of_order(13, 3).coset_index()
-    assert index.cosets == 4 and index.root == 2
-    assert list(index.reps) == [pow(2, j, 13) for j in range(4)]
-    assert list(index.steps) == [pow(2, 4 * i, 13) for i in range(3)]
-    assert subgroup_of_order(7, 1).coset_index().cosets == 6
+    assert subgroup_of_order(13, 12).cosets == 1
+    sub = subgroup_of_order(13, 3)
+    assert sub.cosets == 4 and sub.root == 2
+    assert list(sub.reps) == [pow(2, j, 13) for j in range(4)]
+    assert list(sub.elements) == [pow(2, 4 * i, 13) for i in range(3)]
+    assert subgroup_of_order(7, 1).cosets == 6
 
 
 @pytest.mark.parametrize("block", [1, 3, 64, 2**14])
@@ -156,17 +162,27 @@ def test_coset_lookup_matches_oracle_labels_every_small_field():
     for p in (n for n in range(3, 300) if is_prime(n)):
         x = np.arange(p, dtype=np.int64)
         for h in divisors(p - 1):
-            index = subgroup_of_order(p, h).coset_index()
-            want = coset_labels(p, index.root, h)
-            assert np.array_equal(index.coset_of(x), want), (p, h)
-            assert np.array_equal(index.coset_of(x - p), want) and index.coset_of(p + 1) == 0
+            sub = subgroup_of_order(p, h)
+            want = coset_labels(p, sub.root, h)
+            assert np.array_equal(sub.coset_of(x), want), (p, h)
+            assert np.array_equal(sub.coset_of(x - p), want) and sub.coset_of(p + 1) == 0
 
 
-def index_cosets(index) -> list[set[int]]:
-    """The members of each coset, read off the index's power-table blocks."""
-    cosets = [set() for _ in range(index.cosets)]
-    for cols, block in index.blocks():
-        for j, column in zip(range(index.cosets)[cols], block.T):
+def power_table(sub, rows=None, cols=None):
+    """(cols, block) pairs of the subgroup's power table root^(iM+j), its
+    first `rows` rows and `cols` columns (all by default), in the blocks of
+    the sum table."""
+    grid = subgroup.residue_grid(
+        np.multiply, sub.elements[:rows], sub.reps[:cols], sub.p, expsum.TABLE_BLOCK
+    )
+    return ((cs, block) for _, cs, block in grid)
+
+
+def index_cosets(sub) -> list[set[int]]:
+    """The members of each coset, read off the power-table blocks."""
+    cosets = [set() for _ in range(sub.cosets)]
+    for cols, block in power_table(sub):
+        for j, column in zip(range(sub.cosets)[cols], block.T):
             cosets[j] |= {int(v) for v in column}
     return cosets
 
@@ -174,30 +190,27 @@ def index_cosets(index) -> list[set[int]]:
 @pytest.mark.parametrize("p,h", [(3, 1), (3, 2), (13, 3), (101, 10), (1009, 16), (1009, 1008)])
 def test_coset_index_partition(p, h):
     sub = subgroup_of_order(p, h)
-    index = sub.coset_index()
     m = (p - 1) // h
-    assert index.cosets == m
-    g = index.root
-    assert [int(v) for v in index.reps] == [pow(g, j, p) for j in range(m)]
-    assert [int(v) for v in index.steps] == [pow(g, i * m, p) for i in range(h)]
+    assert sub.cosets == m
+    g = sub.root
+    assert [int(v) for v in sub.reps] == [pow(g, j, p) for j in range(m)]
+    assert [int(v) for v in sub.elements] == [pow(g, i * m, p) for i in range(h)]
     # coset j is {g^(j + iM)}: it has H members, all labelled j, and is rep_j * H
     labels = coset_labels(p, g, h)
     seen = set()
-    for j, coset in enumerate(index_cosets(index)):
+    for j, coset in enumerate(index_cosets(sub)):
         assert len(coset) == h
         assert {int(labels[v]) for v in coset} == {j}
-        assert coset == {int(v) for v in (int(index.reps[j]) * sub.elements) % p}
+        assert coset == {int(v) for v in (int(sub.reps[j]) * sub.elements) % p}
         assert not coset & seen
         seen |= coset
     assert seen == set(range(1, p))
-    # the index holds no H-length array of its own: its rows are the elements
-    assert np.shares_memory(index.steps, sub.elements)
 
 
 def assert_period_symmetry(table):
     """-1 = g^((p-1)/2): for odd H coset j + M/2 is minus coset j, so its
     period is the exact conjugate; for even H every period is exactly real."""
-    half = table.index.cosets // 2
+    half = table.sub.cosets // 2
     if table.order % 2:
         assert np.array_equal(table.eta[half:], np.conj(table.eta[:half]))
         assert table.coset_magnitudes[half:].tobytes() == table.coset_magnitudes[:half].tobytes()
@@ -215,35 +228,34 @@ def test_coset_index_small_blocks(monkeypatch, block, p, h):
     of all_sums end inside what would be one block of the whole table (the
     columns of (101, 5) at block 7, the rows of (13, 12) at block 7 and of
     (101, 20) at block 64), and their blocks stop there."""
-    monkeypatch.setattr(subgroup, "TABLE_BLOCK", block)
+    monkeypatch.setattr(expsum, "TABLE_BLOCK", block)
     sub = subgroup_of_order(p, h)
-    index = sub.coset_index()
-    for _, chunk in index.blocks():
+    for _, chunk in power_table(sub):
         assert chunk.size <= block
     elems = [int(v) for v in sub.elements]
-    labels = coset_labels(p, index.root, h)
-    for j, coset in enumerate(index_cosets(index)):
-        assert coset == {int(v) for v in (int(index.reps[j]) * sub.elements) % p}
+    labels = coset_labels(p, sub.root, h)
+    for j, coset in enumerate(index_cosets(sub)):
+        assert coset == {int(v) for v in (int(sub.reps[j]) * sub.elements) % p}
         assert {int(labels[v]) for v in coset} == {j}
-    rows, cols = (h, index.cosets // 2) if h % 2 else (h // 2, index.cosets)
+    rows, cols = (h, sub.cosets // 2) if h % 2 else (h // 2, sub.cosets)
     entries = Counter()
-    for cs, chunk in index.blocks(rows=rows, cols=cols):
+    for cs, chunk in power_table(sub, rows=rows, cols=cols):
         assert chunk.size <= block and chunk.shape[1] == len(range(cols)[cs])
         entries.update(int(v) for v in chunk.ravel())
     assert entries == Counter(
-        int(index.reps[j]) * int(index.steps[i]) % p for i in range(rows) for j in range(cols)
+        int(sub.reps[j]) * int(sub.elements[i]) % p for i in range(rows) for j in range(cols)
     )
     table = all_sums(sub)
     assert_period_symmetry(table)
     fft = np.conj(np.fft.fft(indicator(sub).astype(np.float64)))
-    assert np.max(np.abs(spread(index, table.eta, h) - fft)) <= 1e-9 * h
+    assert np.max(np.abs(spread(sub, table.eta, h) - fft)) <= 1e-9 * h
     # the period error read off these blocks covers every period
-    for j, rep in enumerate(index.reps):
+    for j, rep in enumerate(sub.reps):
         exact = exact_sum(int(rep), sub.elements, p)
         assert abs(table.eta[j] - exact) <= table.period_error, j
         assert abs(table.coset_magnitudes[j] - abs(exact)) <= table.period_error, j
     # a* is the least residue within twice the period error of the maximum
-    mags = spread(index, table.coset_magnitudes, h)[1:]
+    mags = spread(sub, table.coset_magnitudes, h)[1:]
     a_star = 1 + int(np.flatnonzero(mags >= mags.max() - 2 * table.period_error)[0])
     assert max_sum(table) == (a_star, mags.max())
     assert representation_counts(table, 2).energy == tuple_count_T(elems, p, 2)
@@ -284,8 +296,8 @@ def test_coset_index_layers_against_oracles(case):
     elems = [int(v) for v in sub.elements]
     table = all_sums(sub)
     assert_period_symmetry(table)
-    values = spread(table.index, table.eta, h)
-    mags = spread(table.index, table.coset_magnitudes, h)
+    values = spread(table.sub, table.eta, h)
+    mags = spread(table.sub, table.coset_magnitudes, h)
     fft = np.conj(np.fft.fft(indicator(sub).astype(np.float64)))
     assert np.max(np.abs(values - fft)) <= 1e-9 * h
     for a in range(p):
@@ -296,7 +308,7 @@ def test_coset_index_layers_against_oracles(case):
             assert representation_counts(table, m).energy == tuple_count_T(elems, p, m), m
     pairs = Counter((h1 - h2) % p for h1 in elems for h2 in elems)
     diff = difference_counts(table)
-    assert list(spread(diff.index, diff.per_coset, diff.at_zero)) == [pairs[d] for d in range(p)]
+    assert list(spread(diff.sub, diff.per_coset, diff.at_zero)) == [pairs[d] for d in range(p)]
     iv = Interval(start, n_len)
     expected = quadruple_loop_j([int(v) for v in iv.residues(p)], elems, p)
-    assert j_count(iv, sub).energy == expected
+    assert j_count(iv, table).energy == expected
