@@ -1,9 +1,10 @@
 """Command line interface: sums, energies, case scans, traces, identities.
 
 Exit codes: 0 success, 1 identity/assertion failure, 2 bad input,
-3 resource budget exceeded.  Primary output is byte-identical for the same
-inputs regardless of --threads (independent per-case work, sorted emission,
-fixed summation orders).
+3 resource budget exceeded.  A command refuses --prime first, then its own
+arguments, then --order, so a bad argument builds no subgroup or table.
+Primary output is byte-identical for the same inputs regardless of --threads
+(independent per-case work, sorted emission, fixed summation orders).
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from . import bounds
 from .energy import energy_via_moments, j_count, moment_error_bound, representation_counts
 from .errors import InputError, ResourceError
-from .expsum import (
-    DEFAULT_DENSE_LIMIT,
-    Interval,
-    all_sums,
-    interval_subgroup_sum,
-    max_sum,
-    single_sum,
-)
+from .expsum import Interval, all_sums, interval_subgroup_sum, max_sum, single_sum
 from .field import PrimeModulus, divisors, is_prime
 from .prooftrace import (
     DEFAULT_TRILINEAR_BUDGET,
@@ -45,7 +39,7 @@ from .prooftrace import (
     build_trace,
     moment_inequality_check,
 )
-from .subgroup import subgroup_of_order
+from .subgroup import check_length, subgroup_of_order
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,7 +69,6 @@ class ScanConfig:
     interval_power: float | None = None
     moments: tuple[int, ...] = ()
     threads: int = 1
-    dense_limit: int = DEFAULT_DENSE_LIMIT
 
     def __post_init__(self) -> None:
         if self.p_min > self.p_max:
@@ -147,16 +140,19 @@ def _scan_case(args: tuple[int, int, ScanConfig]) -> dict:
     row["p"], row["H"] = p, h
     row["error"] = None
     try:
+        interval = _resolve_interval(config, p)
+        if interval is not None:
+            # an interval too long to list is refused before the table is built
+            check_length("interval length N", interval.length)
         pm = PrimeModulus.from_int(p)
         sub = subgroup_of_order(pm, h)
-        table = all_sums(sub, dense_limit=config.dense_limit)
+        table = all_sums(sub)
         a_star, mx = max_sum(table)
         row["a_star"] = a_star
         row["max_abs_sum"] = mx
         t1 = bounds.thm1_bound(p, h)
         row["thm1"] = t1
         row["ratio1"] = mx / t1
-        interval = _resolve_interval(config, p)
         if interval is not None:
             n_len = interval.length
             row["N"], row["L"] = n_len, interval.start
@@ -311,19 +307,15 @@ def trace_document(trace: TraceResult, moment_checks=()) -> dict:
     return doc
 
 
-def _prepare_sub(args):
-    return subgroup_of_order(PrimeModulus.from_int(args.prime), args.order)
-
-
 def cmd_sum(args) -> int:
-    sub = _prepare_sub(args)
+    sub = subgroup_of_order(PrimeModulus.from_int(args.prime), args.order)
     p, h = sub.p, sub.order
     if args.a is not None:
         a = args.a % p
         label = f"|S_{a}|"
         value = abs(single_sum(a, sub))
     else:
-        a, value = max_sum(all_sums(sub, dense_limit=args.dense_limit))
+        a, value = max_sum(all_sums(sub))
         label = f"max over a of |S_a| (a* = {a})"
     t1 = bounds.thm1_bound(p, h)
     marker = "in-range" if bounds.thm1_in_range(p, h) else "out-of-range"
@@ -334,11 +326,12 @@ def cmd_sum(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    sub = _prepare_sub(args)
-    p, h = sub.p, sub.order
+    pm = PrimeModulus.from_int(args.prime)
     if args.m not in (1, 2, 3):
         raise InputError(f"m must be 1, 2 or 3, got {args.m}")
-    table = all_sums(sub, dense_limit=args.dense_limit)
+    sub = subgroup_of_order(pm, args.order)
+    p, h = sub.p, sub.order
+    table = all_sums(sub)
     prof = representation_counts(table, args.m)
     moment, bound, agrees = _moment_check(table, args.m, prof.energy)
     print(f"p = {p}  H = {h}  m = {args.m}")
@@ -372,7 +365,6 @@ def cmd_scan(args) -> int:
         interval_power=args.interval_power,
         moments=moments,
         threads=args.threads,
-        dense_limit=args.dense_limit,
     )
     rows, fits = run_scan(config)
     if not rows:
@@ -396,11 +388,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    sub = _prepare_sub(args)
-    table = all_sums(sub, dense_limit=args.dense_limit)
+    pm = PrimeModulus.from_int(args.prime)
+    if args.a is not None and args.a % pm.p == 0:
+        raise InputError("a must be nonzero mod p")
     interval = r2 = r3 = j_prof = None
     if args.interval_length is not None:
         interval = Interval(start=args.interval_start or 0, length=args.interval_length)
+        interval.check_length(pm.p)
+    table = all_sums(subgroup_of_order(pm, args.order))
+    if interval is not None:
         j_prof = j_count(interval, table)
         r2 = representation_counts(table, 2)
         r3 = representation_counts(table, 3)
@@ -432,24 +428,9 @@ def _env_threads() -> int:
         return 1
 
 
-def _add_common(sp, order_required=True):
+def _add_common(sp):
     sp.add_argument("--prime", type=int, required=True, help="odd prime modulus p")
-    sp.add_argument(
-        "--order",
-        type=int,
-        required=order_required,
-        help="subgroup order H (must divide p-1)",
-    )
-    _add_dense_limit(sp)
-
-
-def _add_dense_limit(sp):
-    sp.add_argument(
-        "--dense-limit",
-        type=int,
-        default=DEFAULT_DENSE_LIMIT,
-        help="largest p for which the coset index and the sum table (about p/2 phase lookups) are built",
-    )
+    sp.add_argument("--order", type=int, required=True, help="subgroup order H (must divide p-1)")
 
 
 def _sum_arguments(sp):
@@ -474,7 +455,6 @@ def _scan_arguments(sp):
     sp.add_argument("--threads", type=int, default=None)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", type=str, default=None)
-    _add_dense_limit(sp)
 
 
 def _trace_arguments(sp):

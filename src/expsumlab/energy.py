@@ -167,9 +167,9 @@ def representation_counts(table: SumTable, m: int) -> CosetProfile:
     of at most h rows, so d = H*u*(PHASE_ERROR + 2 + 1.5*(h - 1 + n_b)) stays
     far below the H^2*u of one sequential sum.  For m = 3 it reads 0.0022 at
     (p, H) = (9999991, 1111110), 0.0080 at (9999991, 1999998) and 0.0153 at
-    (4707931, 2353965), the largest found within the default dense limit;
-    with the dense limit raised to the int64 limit it reads 0.393 at
-    (3031903057, 2353962), and H^6 <= 2^127 caps H at 2353973.  So no input
+    (4707931, 2353965), the largest found with p <= 10^7; near the int64
+    limit it reads 0.393 at (3031903057, 2353962), where M = 1288, and
+    H^6 <= 2^127 caps H at 2353973.  So no input
     measured is refused.  Every count is asserted to be at least 0 and the
     counts to add up to H^m.
     """

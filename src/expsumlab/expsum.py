@@ -4,8 +4,8 @@ S_a is constant on the multiplicative cosets of the subgroup, so the full
 table is the list of Gaussian periods eta_j = sum over i of e(g^(j+iM)/p),
 one per coset of the subgroup (g its primitive root, M = (p-1)/H): S_a is
 the period of the coset of a, and S_0 = H.  The table keeps the subgroup,
-so every later layer reaches the coset index through it, behind the one
-dense-limit check of all_sums.  Each phase e(x/p) is the product of two
+so every later layer reaches the coset index through it, behind the int64
+and length limits the index checks.  Each phase e(x/p) is the product of two
 entries of tables with about sqrt(p) entries each, and only half the power
 table is visited: for odd H the periods of the second half of the cosets
 are the exact conjugates of the first, for even H every period is exactly
@@ -20,12 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, ResourceError
-from .subgroup import Subgroup, residue_grid
+from .errors import InputError
+from .subgroup import Subgroup, check_length, residue_grid
 
-# Largest p for which the sum table is built; it holds no array of length p,
-# but takes about p/2 phase lookups.
-DEFAULT_DENSE_LIMIT = 10**7
 # Entries per residue_grid block of the power table (the sum table) and of
 # the a* search: small enough to stay in cache, so no block faults in fresh
 # pages.
@@ -42,9 +39,14 @@ class Interval:
     start: int = 0
     length: int = 1
 
-    def residues(self, p: int) -> np.ndarray:
+    def check_length(self, p: int) -> None:
+        """Refuse a length outside [1, p], then one above LENGTH_LIMIT."""
         if not 1 <= self.length <= p:
             raise InputError(f"interval length must be in [1, p], got {self.length}")
+        check_length("interval length N", self.length)
+
+    def residues(self, p: int) -> np.ndarray:
+        self.check_length(p)
         return (self.start % p + 1 + np.arange(self.length, dtype=np.int64)) % p
 
 
@@ -89,7 +91,7 @@ def phase_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
     return b, np.exp(turn * starts), np.exp(turn * np.arange(b, dtype=np.int64))
 
 
-def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
+def all_sums(sub: Subgroup) -> SumTable:
     """The table of S_a for a = 0..p-1, as one Gaussian period per coset.
 
     The Gaussian period eta_j = S_(g^j) is the sum of column j of e(g^k/p)
@@ -103,17 +105,15 @@ def all_sums(sub: Subgroup, dense_limit: int = DEFAULT_DENSE_LIMIT) -> SumTable:
     summed; for even H it lies in H, so row i + H/2 is minus row i and only
     rows i < H/2 are summed.  A period is the sum of the block sums of its
     column, so the table's period_error is read off the shapes of the blocks
-    this loop adds (derived in energy.energy_via_moments).  A p above
-    dense_limit, or above the int64 limit of the subgroup's products, is
-    refused with ResourceError.
+    this loop adds (derived in energy.energy_via_moments).  It takes about
+    p/2 phase lookups and holds no array of length p.  A p above the int64
+    limit of the subgroup's products, or more than LENGTH_LIMIT cosets, is
+    refused with ResourceError by sub.reps before any table is built.
     """
     p, order = sub.p, sub.order
-    if p > dense_limit:
-        raise ResourceError(f"p = {p} exceeds the dense table limit {dense_limit}")
     m = sub.cosets
     odd = order % 2 == 1
     rows, cols = (order, m // 2) if odd else (order // 2, m)
-    # sub.reps refuses a p above the int64 limit before any table is built
     grid = residue_grid(np.multiply, sub.elements[:rows], sub.reps[:cols], p, TABLE_BLOCK)
     b, hi, lo = phase_tables(p)
     shift, mask = b.bit_length() - 1, b - 1

@@ -12,8 +12,11 @@ import numpy as np
 from .errors import InputError, ResourceError
 from .field import PrimeModulus, primitive_root
 
-# Largest subgroup order whose elements are listed (8 bytes each).
-ELEMENT_LIMIT = 10**7
+# Most entries (8 bytes each) of any array whose length follows the input:
+# the H subgroup elements, the M = (p-1)/H cosets of the index (and every
+# length-M array past it), the N residues of an interval and the residues
+# of a trace's bucket cosets.  Nothing is listed per residue of the field.
+LENGTH_LIMIT = 10**7
 # Largest p - 1 whose square fits in int64.  The coset index and the literal
 # trilinear check multiply two residues in int64, which wraps above it.
 INT64_PRODUCT_LIMIT = math.isqrt(2**63 - 1)
@@ -26,6 +29,12 @@ def check_int64_products(p: int) -> None:
             f"p = {p} exceeds the int64 limit: products of two residues wrap once "
             f"p - 1 > {INT64_PRODUCT_LIMIT} = isqrt(2^63 - 1)"
         )
+
+
+def check_length(quantity: str, n: int) -> None:
+    """Refuse an array of n entries above LENGTH_LIMIT before it is built."""
+    if n > LENGTH_LIMIT:
+        raise ResourceError(f"{quantity} = {n} exceeds the length limit {LENGTH_LIMIT}")
 
 
 def residue_grid(op, r: np.ndarray, c: np.ndarray, n: int, block: int):
@@ -80,9 +89,9 @@ class Subgroup:
     an H x M matrix whose column j is coset j, is never stored:
     elements[i] = root^(iM) and reps[j] = root^j (coset 0 is the subgroup)
     give it a block at a time.  reps and the keys of coset_of are built on
-    first use and kept, once p is within the int64 limit of their products,
-    so the index adds O(M) memory to the elements; coset_of(x) is the coset
-    of each residue x, M for x = 0.
+    first use and kept, once p is within the int64 limit of their products
+    and M within LENGTH_LIMIT, so the index adds O(M) memory to the elements;
+    coset_of(x) is the coset of each residue x, M for x = 0.
     """
 
     p: int
@@ -99,17 +108,23 @@ class Subgroup:
     def cosets(self) -> int:
         return (self.p - 1) // self.order
 
+    def _check_index(self) -> None:
+        """Refuse an index whose products wrap in int64, then one above
+        LENGTH_LIMIT cosets, before either is built."""
+        check_int64_products(self.p)
+        check_length(f"p = {self.p}, H = {self.order}: coset count M = (p-1)/H", self.cosets)
+
     @cached_property
     def reps(self) -> np.ndarray:
         """root^j for j = 0..M-1, one residue of each coset."""
-        check_int64_products(self.p)
+        self._check_index()
         return _geometric(self.root, self.cosets, self.p)
 
     @cached_property
     def _power_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """(keys, cosets): keys = 0 and the M residues root^(jH), sorted, and
         cosets[i] the j of keys[i] (M for the key 0)."""
-        check_int64_products(self.p)
+        self._check_index()
         m = self.cosets
         powers = _geometric(pow(self.root, self.order, self.p), m, self.p)
         order = np.argsort(powers)
@@ -133,8 +148,11 @@ class Subgroup:
         return cosets[np.searchsorted(keys, power)]
 
     def members(self, cosets: np.ndarray) -> np.ndarray:
-        """The residues of the given cosets, sorted."""
-        return np.sort(self.reps[cosets, None] * self.elements % self.p, axis=None)
+        """The residues of the given cosets, sorted, refused above
+        LENGTH_LIMIT of them."""
+        reps = self.reps[cosets]
+        check_length("coset members |cosets| * H", reps.size * self.order)
+        return np.sort(reps[:, None] * self.elements % self.p, axis=None)
 
 
 def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
@@ -143,8 +161,7 @@ def subgroup_of_order(modulus: PrimeModulus | int, order: int) -> Subgroup:
     p = pm.p
     if order < 1 or (p - 1) % order != 0:
         raise InputError(f"order {order} does not divide p - 1 = {p - 1}")
-    if order > ELEMENT_LIMIT:
-        raise ResourceError(f"order {order} exceeds the subgroup element limit {ELEMENT_LIMIT}")
+    check_length("subgroup order H", order)
     root = primitive_root(pm)
     g = pow(root, (p - 1) // order, p)
     assert pow(g, order, p) == 1, "generator does not have the requested order"

@@ -47,8 +47,9 @@ class TestSumCommand:
     def test_bad_order_rejected(self, capsys):
         assert run_cli("sum", "--prime", "13", "--order", "5") == EXIT_BAD_INPUT
 
-    def test_single_a_above_dense_limit(self, capsys):
-        # one |S_a| is O(H): no dense table, so p above the dense limit answers
+    def test_single_a_above_coset_limit(self, capsys):
+        # one |S_a| is O(H) and builds no coset index, so it answers although
+        # M = 5 * 10^8 is above the length limit
         p, a = 1000000007, 123456789
         assert run_cli("sum", "--prime", str(p), "--order", "2", "--a", str(a)) == EXIT_OK
         out = capsys.readouterr().out
@@ -67,16 +68,24 @@ class TestSumCommand:
         # (p - 1)^2 >= 2^63: refused before the coset index is built, as its
         # int64 products would wrap and give wrong periods
         start = time.monotonic()
-        argv = ("sum", "--prime", "4000000007", "--order", "835771", "--dense-limit", "5000000000")
+        argv = ("sum", "--prime", "4000000007", "--order", "835771")
         assert run_cli(*argv) == EXIT_BUDGET
         assert time.monotonic() - start < 1.0
         assert "int64" in capsys.readouterr().err
+
+    def test_cosets_above_coset_limit_refused(self, capsys):
+        # M = 10000001: refused before any coset index is built
+        start = time.monotonic()
+        assert run_cli("sum", "--prime", "20000003", "--order", "2") == EXIT_BUDGET
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        assert "coset count M = (p-1)/H = 10000001 exceeds the length limit 10000000" in err
 
     def test_order_above_element_limit_refused(self, capsys):
         # 5 * 10^8 subgroup elements: refused before any is listed
         argv = ["sum", "--prime", "1000000007", "--order", "500000003", "--a", "1"]
         assert run_cli(*argv) == EXIT_BUDGET
-        assert "element limit" in capsys.readouterr().err
+        assert "subgroup order H = 500000003 exceeds the length limit 10000000" in capsys.readouterr().err
 
 
 class TestEnergyCommand:
@@ -421,12 +430,50 @@ PARSER_ANSWERS = [
 ]
 
 
-def test_scan_help_explains_the_dense_limit(capsys):
-    sentence = "largest p for which the coset index and the sum table (about p/2 phase lookups) are built"
-    for command in ("sum", "scan"):
-        with pytest.raises(SystemExit):
-            cli.main([command, "--help"])
-        assert sentence in " ".join(capsys.readouterr().out.split()), command
+# bad arguments of cases whose table takes a second or more, and their messages
+REFUSED_BEFORE_THE_TABLE = [
+    (["energy", "--prime", "9999991", "--order", "9999990", "--m", "4"], "m must be 1, 2 or 3, got 4"),
+    (["trace", "--prime", "9999991", "--order", "2", "--a", "9999991"], "a must be nonzero mod p"),
+    (["trace", "--prime", "9999991", "--order", "2", "--a", "-19999982"], "a must be nonzero mod p"),
+    (
+        ["trace", "--prime", "9999991", "--order", "2", "--interval-length", "0"],
+        "interval length must be in [1, p], got 0",
+    ),
+    (
+        ["trace", "--prime", "9999991", "--order", "2", "--interval-length", "9999992"],
+        "interval length must be in [1, p], got 9999992",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,message", REFUSED_BEFORE_THE_TABLE, ids=[" ".join(argv) for argv, _ in REFUSED_BEFORE_THE_TABLE]
+)
+def test_bad_arguments_refused_before_the_subgroup(argv, message, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("built before the arguments were checked")
+
+    monkeypatch.setattr(cli, "all_sums", never)
+    monkeypatch.setattr(cli, "subgroup_of_order", never)
+    assert run_cli(*argv) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("built before the interval length was checked")
+
+
+def test_interval_above_length_limit_refused_before_the_table(capsys, monkeypatch):
+    # p > 10^7 admits N > 10^7, too long to list: refused before any subgroup
+    monkeypatch.setattr(cli, "all_sums", _never)
+    monkeypatch.setattr(cli, "subgroup_of_order", _never)
+    argv = ["trace", "--prime", "20000003", "--order", "11", "--interval-length", "10000001"]
+    assert run_cli(*argv) == EXIT_BUDGET
+    assert capsys.readouterr().err == "error: interval length N = 10000001 exceeds the length limit 10000000\n"
+    config = ScanConfig(p_min=20000003, p_max=20000003, interval_power=1.0)
+    row = cli._scan_case((20000003, 11, config))
+    assert row["error"] == "interval length N = 20000003 exceeds the length limit 10000000"
+    assert row["max_abs_sum"] is None
 
 
 class TestLazyParser:
@@ -493,16 +540,15 @@ class TestSubprocessInterface:
                 "expsumlab",
                 "sum",
                 "--prime",
-                "1009",
+                "20000003",
                 "--order",
-                "48",
-                "--dense-limit",
-                "100",
+                "2",
             ],
             capture_output=True,
             text=True,
         )
         assert r.returncode == 3
+        assert "M = (p-1)/H = 10000001 exceeds the length limit" in r.stderr
 
 
 def run_python(code, **env):

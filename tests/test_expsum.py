@@ -1,5 +1,7 @@
 import math
+import time
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -14,6 +16,7 @@ from expsumlab import (
     all_sums,
     divisors,
     interval_subgroup_sum,
+    j_count,
     max_sum,
     single_sum,
     subgroup_of_order,
@@ -134,15 +137,54 @@ class TestAllSums:
         for a in rng.integers(0, 1009, size=40):
             assert abs(vals[a] - single_sum(int(a), sub)) < 1e-9
 
-    def test_dense_limit(self):
-        with pytest.raises(ResourceError):
-            all_sums(subgroup_of_order(1009, 48), dense_limit=100)
+    def test_coset_limit(self):
+        # M = (p-1)/2 = 10000001: refused before any index array is built
+        sub = subgroup_of_order(20000003, 2)
+        start = time.monotonic()
+        with pytest.raises(ResourceError, match=r"M = \(p-1\)/H = 10000001 exceeds the length limit"):
+            all_sums(sub)
+        assert time.monotonic() - start < 1.0
+        assert not {"reps", "_power_keys"} & vars(sub).keys()
 
-    def test_dense_limit_holds_after_the_index_is_built(self):
-        sub = subgroup_of_order(1009, 48)
-        all_sums(sub)
-        with pytest.raises(ResourceError):
-            all_sums(sub, dense_limit=100)
+    def test_coset_limit_holds_for_every_index_lookup(self):
+        # direct library lookups are refused too, and a refused index caches
+        # nothing, so the table is refused again afterwards
+        sub = subgroup_of_order(20000003, 2)
+        start = time.monotonic()
+        lookups = (lambda: sub.reps, lambda: sub.coset_of(3), lambda: sub.members([0]), lambda: all_sums(sub))
+        for lookup in lookups:
+            with pytest.raises(ResourceError, match=r"M = \(p-1\)/H = 10000001 exceeds the length limit"):
+                lookup()
+        assert time.monotonic() - start < 1.0
+        assert not {"reps", "_power_keys"} & vars(sub).keys()
+
+    def test_table_above_ten_million(self):
+        # p = 20000003 > 10^7 with M = 1818182 cosets: the table answers, and
+        # matches single_sum at seeded random a and at the reported a*
+        p, h = 20000003, 11
+        sub = subgroup_of_order(p, h)
+        table = all_sums(sub)
+        rng = np.random.default_rng(20000003)
+        a = rng.integers(1, p, size=200)
+        got = table.eta[sub.coset_of(a)]
+        want = np.array([single_sum(int(x), sub) for x in a])
+        assert np.max(np.abs(got - want)) <= 1e-9 * h
+        a_star, value = max_sum(table)
+        assert abs(value - abs(single_sum(a_star, sub))) <= 1e-9 * h
+
+    def test_interval_above_length_limit(self):
+        # N = 10^7 + 1 <= p is refused before its residues are listed, by the
+        # library calls that list them too
+        p, h = 20000003, 11
+        table = SimpleNamespace(p=p, order=h, sub=subgroup_of_order(p, h))
+        interval = Interval(start=0, length=10**7 + 1)
+        for call in (
+            lambda: interval.residues(p),
+            lambda: interval_subgroup_sum(1, interval, table),
+            lambda: j_count(interval, table),
+        ):
+            with pytest.raises(ResourceError, match="interval length N = 10000001 exceeds the length limit"):
+                call()
 
     def test_gauss_identity_half_order(self):
         # H = (p-1)/2 is the quadratic-residue subgroup: |2 S_a + 1| = sqrt(p)

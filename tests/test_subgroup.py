@@ -55,10 +55,24 @@ def test_coset_index_refused_above_int64_products():
             with pytest.raises(ResourceError, match="int64"):
                 lookup()
         with pytest.raises(ResourceError, match="int64"):
-            all_sums(sub, dense_limit=5 * 10**9)
+            all_sums(sub)
         assert not {"reps", "_power_keys"} & vars(sub).keys()
         assert abs(single_sum(1, sub)) <= h
         assert not {"reps", "_power_keys"} & vars(sub).keys()
+
+
+def test_members_above_length_limit():
+    # a bucket's residues are listed only up to LENGTH_LIMIT: at p > 10^7 the
+    # cosets of H = 22 hold up to p - 1 of them
+    p, h = 20000003, 22
+    sub = subgroup_of_order(p, h)
+    cosets = np.array([5, 0, 3])
+    x = sub.members(cosets)
+    assert [int(v) for v in x] == sorted(pow(sub.root, int(j) + i * sub.cosets, p) for j in cosets for i in range(h))
+    assert np.bincount(sub.coset_of(x)).tolist() == [h, 0, 0, h, 0, h]
+    for size in (subgroup.LENGTH_LIMIT // h + 1, sub.cosets):
+        with pytest.raises(ResourceError, match=f"coset members \\|cosets\\| \\* H = {size * h} exceeds"):
+            sub.members(np.arange(size))
 
 
 def test_coset_index_just_below_int64_products():
