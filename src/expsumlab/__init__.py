@@ -19,6 +19,7 @@ _EXPORTS = {
         "CosetProfile",
         "difference_counts",
         "energy_via_moments",
+        "interval_subgroup_sum",
         "j_count",
         "moment_error_bound",
         "representation_counts",
@@ -28,7 +29,6 @@ _EXPORTS = {
         "Interval",
         "SumTable",
         "all_sums",
-        "interval_subgroup_sum",
         "max_sum",
         "single_sum",
     ),

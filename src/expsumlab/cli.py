@@ -22,24 +22,32 @@ from fractions import Fraction
 
 # numpy's OpenBLAS starts a worker thread when numpy is imported, and it
 # busy-waits beside the main thread through the import and into the command.
-# Nothing in expsumlab calls BLAS (its one np.dot is on int64), so a CLI
-# process runs OpenBLAS on one thread unless the user has set the variable.
+# expsumlab calls BLAS only for dot products of length-M vectors, which need
+# no second thread, so a CLI process runs OpenBLAS on one thread unless the
+# user has set the variable.
 # This must run before numpy is first imported: the package __init__ imports
 # nothing eagerly.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import bounds
-from .energy import energy_via_moments, j_count, moment_error_bound, representation_counts
+from .energy import (
+    energy_via_moments,
+    interval_subgroup_sum,
+    j_count,
+    moment_error_bound,
+    representation_counts,
+)
 from .errors import InputError, ResourceError
-from .expsum import Interval, all_sums, interval_subgroup_sum, max_sum, single_sum
+from .expsum import Interval, all_sums, max_sum, single_sum
 from .field import PrimeModulus, divisors, is_prime
 from .prooftrace import (
     DEFAULT_TRILINEAR_BUDGET,
+    CheckResult,
     TraceResult,
     build_trace,
     moment_inequality_check,
 )
-from .subgroup import check_length, subgroup_of_order
+from .subgroup import subgroup_of_order
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,6 +83,8 @@ class ScanConfig:
             raise InputError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
         if not 0 < self.alpha_lo <= self.alpha_hi <= 1:
             raise InputError("window must satisfy 0 < alpha_lo <= alpha_hi <= 1")
+        if self.interval_length is not None and self.interval_length < 1:
+            raise InputError(f"interval length must be in [1, p], got {self.interval_length}")
         if self.interval_power is not None and not math.isfinite(self.interval_power):
             raise InputError(f"interval power must be finite, got {self.interval_power}")
         if self.threads < 1:
@@ -142,8 +152,8 @@ def _scan_case(args: tuple[int, int, ScanConfig]) -> dict:
     try:
         interval = _resolve_interval(config, p)
         if interval is not None:
-            # an interval too long to list is refused before the table is built
-            check_length("interval length N", interval.length)
+            # an interval above p, or too long to list, is refused before the table is built
+            interval.check_length(p)
         pm = PrimeModulus.from_int(p)
         sub = subgroup_of_order(pm, h)
         table = all_sums(sub)
@@ -159,10 +169,11 @@ def _scan_case(args: tuple[int, int, ScanConfig]) -> dict:
             row["gamma"] = bounds.gamma(p, n_len, h)
             row["thm2"] = bounds.thm2_bound(p, n_len, h)
             row["thm3"] = bounds.thm3_bound(p, n_len, h)
-            s_int = interval_subgroup_sum(a_star, interval, table)
+            j_prof = j_count(interval, table)
+            s_int = interval_subgroup_sum(a_star, j_prof, table)
             row["ratio2"] = s_int / row["thm2"]
             row["ratio3"] = s_int / row["thm3"]
-            row["J"] = j_count(interval, table).energy
+            row["J"] = j_prof.energy
         for m in config.moments:
             prof = representation_counts(table, m)
             row[f"T{m}"] = prof.energy
@@ -253,6 +264,14 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
 
 
+def _check_entry(c: CheckResult, exact: bool = True) -> dict:
+    """A check as a trace document lists it; moment checks omit "exact"."""
+    entry = {"name": c.name, "relation": c.relation, "lhs": c.lhs, "rhs": c.rhs}
+    if exact:
+        entry["exact"] = c.exact
+    return entry | {"pass": c.passed, "note": c.note}
+
+
 def trace_document(trace: TraceResult, moment_checks=()) -> dict:
     doc: dict = {
         "schema": JSON_SCHEMA_VERSION,
@@ -274,18 +293,7 @@ def trace_document(trace: TraceResult, moment_checks=()) -> dict:
             "g2": s.g2,
             "g3": s.g3,
         }
-    doc["checks"] = [
-        {
-            "name": c.name,
-            "relation": c.relation,
-            "lhs": c.lhs,
-            "rhs": c.rhs,
-            "exact": c.exact,
-            "pass": c.passed,
-            "note": c.note,
-        }
-        for c in trace.checks
-    ]
+    doc["checks"] = [_check_entry(c) for c in trace.checks]
     doc["reported"] = {k: v for k, v in trace.reported.items()}
     doc["trilinear"] = {
         "spectral_sum": trace.trilinear_sum,
@@ -293,17 +301,7 @@ def trace_document(trace: TraceResult, moment_checks=()) -> dict:
         "bound_ratio": trace.trilinear_bound_ratio,
     }
     if moment_checks:
-        doc["moment_checks"] = [
-            {
-                "name": c.name,
-                "relation": c.relation,
-                "lhs": c.lhs,
-                "rhs": c.rhs,
-                "pass": c.passed,
-                "note": c.note,
-            }
-            for c in moment_checks
-        ]
+        doc["moment_checks"] = [_check_entry(c, exact=False) for c in moment_checks]
     return doc
 
 
@@ -405,7 +403,7 @@ def cmd_trace(args) -> int:
     moment_checks = []
     if interval is not None:
         for m, r_m in ((2, r2), (3, r3)):
-            moment_checks.append(moment_inequality_check(interval, table, trace.a, m, r_m, j_prof))
+            moment_checks.append(moment_inequality_check(table, trace.a, m, r_m, j_prof))
     doc = trace_document(trace, moment_checks)
     _write_output(json.dumps(doc, indent=1) + "\n", args.output)
     ok = trace.degenerate or (trace.all_passed and all(c.passed for c in moment_checks))
@@ -418,14 +416,6 @@ def cmd_identities(args) -> int:
     for c in suite:
         print(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}}  {c.detail}")
     return EXIT_OK if all(c.passed for c in suite) else EXIT_CHECK_FAILED
-
-
-def _env_threads() -> int:
-    raw = os.environ.get("EXPSUM_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _add_common(sp):
@@ -452,7 +442,7 @@ def _scan_arguments(sp):
     sp.add_argument("--interval-start", type=int, default=None)
     sp.add_argument("--interval-length", type=int, default=None)
     sp.add_argument("--interval-power", type=float, default=None, help="N = round(p^power)")
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--output", type=str, default=None)
 
@@ -499,8 +489,6 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv).parse_args(argv)
-    if getattr(args, "threads", None) is None and args.command == "scan":
-        args.threads = _env_threads()
     try:
         return args.func(args)
     except InputError as exc:

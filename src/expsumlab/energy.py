@@ -1,13 +1,15 @@
 """Exact integer energies: additive representation counts of a subgroup and
-product-collision counts between an interval and a subgroup.
+product-collision counts between an interval and a subgroup, which also give
+the interval's double sum.
 
 Every count here is constant on the multiplicative cosets of the subgroup,
 so it is evaluated and kept once per coset of the subgroup, plus once at 0;
 nothing of length p is returned.  The additive counts come from the
 Gaussian periods of the sum table by one length-M correlation each, rounded
 under a derived error bound and refused where that bound does not certify
-the rounding; the product counts read the coset of each interval residue
-from the subgroup of the sum table.
+the rounding.  j_count is the one map of an interval to the cosets of the
+table's subgroup, and the double sum at any a is the dot product of its
+counts with the table's magnitudes.
 Everything is integer-exact: the counts run in int64 (they fit whenever the
 H^{2m} overflow guard passes), and each profile's energy sums their squares
 in int64 where the counts bound that sum below 2^63, in Python ints otherwise.
@@ -262,3 +264,14 @@ def j_count(interval: Interval, table: SumTable) -> CosetProfile:
     nonzero = res[res != 0]
     per_coset = np.bincount(sub.coset_of(nonzero), minlength=sub.cosets).astype(np.int64)
     return CosetProfile(per_coset, sub.order * (res.size - nonzero.size), sub)
+
+
+def interval_subgroup_sum(a: int, profile: CosetProfile, table: SumTable) -> float:
+    """sum over n in the interval of |S_(a*n)|, from the interval's j_count
+    profile: with a in coset k, a*n lies in coset j + k for n in coset j, so
+    the sum is sum over j of c_j |eta_(j+k)|, plus H for n = 0 (at_zero)."""
+    a = int(a) % table.p
+    if a == 0:
+        raise InputError("a must be nonzero mod p")
+    k = int(table.sub.coset_of(a))
+    return float(np.dot(profile.per_coset, np.roll(table.coset_magnitudes, -k))) + profile.at_zero

@@ -1,4 +1,4 @@
-"""Exponential sums over subgroups: single values, full tables, interval sums.
+"""Exponential sums over subgroups: single values and full tables; intervals.
 
 S_a is constant on the multiplicative cosets of the subgroup, so the full
 table is the list of Gaussian periods eta_j = sum over i of e(g^(j+iM)/p),
@@ -11,7 +11,9 @@ table is visited: for odd H the periods of the second half of the cosets
 are the exact conjugates of the first, for even H every period is exactly
 real.  So |S_-a| = |S_a| holds exactly, each phase is within
 PHASE_ERROR * 2^-53 of e(x/p) (derived in energy.energy_via_moments), and
-every table lies within 1e-6 * H of a DFT of the subgroup indicator."""
+every table lies within 1e-6 * H of a DFT of the subgroup indicator.  An
+Interval is mapped to the cosets once, by energy.j_count, whose counts give
+the interval's double sum (energy.interval_subgroup_sum)."""
 
 from __future__ import annotations
 
@@ -154,13 +156,3 @@ def max_sum(table: SumTable) -> tuple[int, float]:
     grid = residue_grid(np.multiply, reps, sub.elements, table.p, TABLE_BLOCK)
     a_star = min(int(x.min()) for _, _, x in grid)
     return a_star, float(best)
-
-
-def interval_subgroup_sum(a: int, interval: Interval, table: SumTable) -> float:
-    """sum over n in the interval of |S_{a*n}|, read off the sum table."""
-    p = table.p
-    a = int(a) % p
-    if a == 0:
-        raise InputError("a must be nonzero mod p")
-    cosets = table.sub.coset_of(a * interval.residues(p) % p)
-    return float(np.sum(np.append(table.coset_magnitudes, float(table.order))[cosets]))

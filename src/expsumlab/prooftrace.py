@@ -39,9 +39,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import trilinear_bound
-from .energy import CosetProfile, cyclic_correlation, difference_counts, representation_counts
+from .energy import (
+    CosetProfile,
+    cyclic_correlation,
+    difference_counts,
+    interval_subgroup_sum,
+    representation_counts,
+)
 from .errors import InputError, ResourceError
-from .expsum import Interval, SumTable, interval_subgroup_sum, max_sum
+from .expsum import SumTable, max_sum
 from .subgroup import check_int64_products, residue_grid
 
 REL_TOL = 1e-6
@@ -607,26 +613,22 @@ def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
 
 
 def moment_inequality_check(
-    interval: Interval,
-    table: SumTable,
-    a: int,
-    m: int,
-    r_m: CosetProfile,
-    j_prof: CosetProfile,
+    table: SumTable, a: int, m: int, r_m: CosetProfile, j_prof: CosetProfile
 ) -> CheckResult:
     """S^{2m} <= (N^{2m-2}/H^2) * J * p * T_m with measured S, exact J, T_m.
 
     The right side combines a Hoelder step with Cauchy-Schwarz, so the
     inequality is a theorem; only the measured left side carries float error.
     r_m is the m-fold profile of the table's subgroup and j_prof the
-    collision profile of the interval with it.
+    collision profile of the interval with it, from which S, J and the
+    interval length N are all read.
     """
     if m < 2:
         raise InputError(f"moment check needs m >= 2, got {m}")
     p, H = table.p, table.order
-    s_val = interval_subgroup_sum(a, interval, table)
+    s_val = interval_subgroup_sum(a, j_prof, table)
     t_m = r_m.energy
-    n_len = interval.length
+    n_len = int(j_prof.per_coset.sum()) + j_prof.at_zero // H
     rhs_exact = n_len ** (2 * m - 2) * j_prof.energy * p * t_m
     lhs = s_val ** (2 * m)
     rhs = rhs_exact / (H * H)

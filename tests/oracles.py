@@ -49,6 +49,12 @@ def subgroup_sum(a: int, elements, p: int) -> complex:
     return sum(phase(a * int(x), p) for x in elements)
 
 
+def double_sum(a: int, start: int, length: int, elements, p: int) -> float:
+    """sum over n = start+1, ..., start+length of |S_(a*n)|: one subgroup sum
+    of H phases per n, O(N*H) in all, with no coset and no table."""
+    return math.fsum(abs(subgroup_sum(a * n, elements, p)) for n in range(start + 1, start + length + 1))
+
+
 def exact_sum(a: int, elements, p: int) -> mpmath.mpc:
     """S_a to 40 significant digits, as an mpmath complex."""
     with mpmath.workdps(40):

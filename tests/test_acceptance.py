@@ -126,7 +126,7 @@ def test_criterion_6_moment_inequality():
             iv = Interval(start, n_len)
             for m in (2, 3):
                 c = moment_inequality_check(
-                    iv, table, a, m, representation_counts(table, m), j_count(iv, table)
+                    table, a, m, representation_counts(table, m), j_count(iv, table)
                 )
                 assert c.passed, (p, h, n_len, start, a, m, c)
 

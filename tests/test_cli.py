@@ -10,11 +10,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expsumlab import InputError, cli, prooftrace, subgroup_of_order
+from expsumlab import InputError, Interval, cli, prooftrace, subgroup_of_order
 from expsumlab.cli import (
     CSV_HEADER,
     EXIT_BAD_INPUT,
     EXIT_BUDGET,
+    EXIT_CHECK_FAILED,
     EXIT_OK,
     ScanConfig,
     fit_scan_rows,
@@ -167,9 +168,9 @@ class TestTraceCommand:
         assert all(c["pass"] for c in doc["moment_checks"])
 
     def test_interval_energies_computed_once(self, capsys, monkeypatch):
-        calls = {"representation_counts": 0, "j_count": 0}
-        for module in (cli, prooftrace):
-            # patched only where the module binds the name: prooftrace has no j_count
+        calls = {"representation_counts": 0, "j_count": 0, "residues": 0}
+        for module in (cli, prooftrace, Interval):
+            # patched only where the name is bound: prooftrace has no j_count
             for name in (n for n in calls if hasattr(module, n)):
                 def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
                     calls[_name] += 1
@@ -179,8 +180,14 @@ class TestTraceCommand:
         argv = ["trace", "--prime", "101", "--order", "10", "--interval-start", "0",
                 "--interval-length", "10"]
         assert run_cli(*argv) == EXIT_OK
-        assert calls == {"representation_counts": 2, "j_count": 1}
+        assert calls == {"representation_counts": 2, "j_count": 1, "residues": 1}
         assert all(c["pass"] for c in json.loads(capsys.readouterr().out)["moment_checks"])
+        # a scan lists each row's interval once, for J and the double sum alike
+        calls.update(j_count=0, residues=0)
+        assert run_cli("scan", "--p-min", "131", "--p-max", "131", "--interval-power", "0.5") == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 2 and all(row.split(",")[10] for row in rows)
+        assert calls["j_count"] == calls["residues"] == 2
 
     def test_even_order_stage3_reuses_r2(self, capsys, monkeypatch):
         # for even H, -1 lies in H, so the stage-3 difference counts are r_2
@@ -443,6 +450,10 @@ REFUSED_BEFORE_THE_TABLE = [
         ["trace", "--prime", "9999991", "--order", "2", "--interval-length", "9999992"],
         "interval length must be in [1, p], got 9999992",
     ),
+    (
+        ["scan", "--p-min", "200000", "--p-max", "200100", "--interval-length", "0"],
+        "interval length must be in [1, p], got 0",
+    ),
 ]
 
 
@@ -461,6 +472,18 @@ def test_bad_arguments_refused_before_the_subgroup(argv, message, capsys, monkey
 
 def _never(*args, **kwargs):
     raise AssertionError("built before the interval length was checked")
+
+
+def test_scan_interval_above_p_fails_each_row_before_its_table(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "all_sums", _never)
+    monkeypatch.setattr(cli, "subgroup_of_order", _never)
+    argv = ["scan", "--p-min", "101", "--p-max", "103", "--interval-length", "500"]
+    assert run_cli(*argv) == EXIT_CHECK_FAILED
+    warnings = capsys.readouterr().err.splitlines()
+    assert warnings == [
+        f"warning: case p={p} H={h}: interval length must be in [1, p], got 500"
+        for p, h in ((101, 4), (101, 5), (101, 10), (103, 6))
+    ]
 
 
 def test_interval_above_length_limit_refused_before_the_table(capsys, monkeypatch):
@@ -504,25 +527,6 @@ class TestLazyParser:
 
 
 class TestSubprocessInterface:
-    def test_env_threads_fallback(self, tmp_path):
-        out1 = tmp_path / "a.csv"
-        out2 = tmp_path / "b.csv"
-        env = dict(os.environ, EXPSUM_THREADS="2")
-        r = subprocess.run(
-            [sys.executable, "-m", "expsumlab", "scan", "--p-min", "100", "--p-max", "160", "--output", str(out1)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert r.returncode == 0
-        r = subprocess.run(
-            [sys.executable, "-m", "expsumlab", "scan", "--p-min", "100", "--p-max", "160", "--threads", "1", "--output", str(out2)],
-            capture_output=True,
-            text=True,
-        )
-        assert r.returncode == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_exit_code_bad_input(self):
         r = subprocess.run(
             [sys.executable, "-m", "expsumlab", "sum", "--prime", "12", "--order", "3"],

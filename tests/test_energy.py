@@ -16,6 +16,7 @@ from expsumlab import (
     difference_counts,
     divisors,
     energy_via_moments,
+    interval_subgroup_sum,
     j_count,
     moment_error_bound,
     representation_counts,
@@ -30,6 +31,7 @@ from oracles import (
     coset_labels,
     cyclotomic_counts,
     cyclotomic_r3,
+    double_sum,
     fold_counts,
     indicator,
     quadruple_loop_j,
@@ -349,6 +351,24 @@ class TestJCount:
         iv = Interval(0, 10)
         expected = quadruple_loop_j([int(v) for v in iv.residues(101)], [int(v) for v in sub.elements], 101)
         assert j_count(iv, all_sums(sub)).energy == expected
+
+
+def test_interval_sum_matches_the_double_sum_oracle():
+    """At one a of every coset, for every p < 300 and every H, the dot product
+    of the interval's profile with the magnitudes is the O(NH) double sum, on
+    two seeded intervals per case, the second containing 0."""
+    rng = np.random.default_rng(299)
+    for p in (q for q in range(3, 300, 2) if is_prime(q)):
+        for h in divisors(p - 1):
+            sub = subgroup_of_order(p, h)
+            table = all_sums(sub)
+            n_len = int(rng.integers(1, min(p, 16) + 1))
+            for start in (int(rng.integers(p)), p - int(rng.integers(1, n_len + 1))):
+                prof = j_count(Interval(start, n_len), table)
+                for a in map(int, sub.reps):
+                    got = interval_subgroup_sum(a, prof, table)
+                    want = double_sum(a, start, n_len, sub.elements, p)
+                    assert abs(got - want) <= 1e-9 * n_len * h, (p, h, start, n_len, a)
 
 
 @settings(max_examples=30)

@@ -414,7 +414,7 @@ def test_trilinear_direct_check_within_budget_over_h():
 def _moment_check(interval, sub, a, m):
     table = all_sums(sub)
     r_m = representation_counts(table, m)
-    return moment_inequality_check(interval, table, a, m, r_m, j_count(interval, table))
+    return moment_inequality_check(table, a, m, r_m, j_count(interval, table))
 
 
 class TestMomentInequality:
