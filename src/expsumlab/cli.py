@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import locale  # noqa: F401  every command's argparse parser needs it, through gettext
 import math
 import os
 import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -40,13 +40,7 @@ from .energy import (
 from .errors import InputError, ResourceError
 from .expsum import Interval, all_sums, max_sum, single_sum
 from .field import PrimeModulus, divisors, is_prime
-from .prooftrace import (
-    DEFAULT_TRILINEAR_BUDGET,
-    CheckResult,
-    TraceResult,
-    build_trace,
-    moment_inequality_check,
-)
+from .prooftrace import CheckResult, TraceResult, build_trace, moment_inequality_check
 from .subgroup import subgroup_of_order
 
 EXIT_OK = 0
@@ -222,6 +216,7 @@ def run_scan(config: ScanConfig) -> tuple[list[dict], list[FitResult]]:
     # the pool starts all its workers at the first submit: no more than cases
     workers = min(config.threads, len(work))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays for its import
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(work) // (4 * workers))
             rows = list(pool.map(_scan_case, work, chunksize=chunk))
@@ -399,7 +394,7 @@ def cmd_trace(args) -> int:
         r2 = representation_counts(table, 2)
         r3 = representation_counts(table, 3)
     # the table goes positionally: perfbench/layers.py reads p from the first argument
-    trace = build_trace(table, a=args.a, r2=r2, r3=r3, trilinear_budget=args.trilinear_budget)
+    trace = build_trace(table, a=args.a, r2=r2, r3=r3)
     moment_checks = []
     if interval is not None:
         for m, r_m in ((2, r2), (3, r3)):
@@ -452,7 +447,6 @@ def _trace_arguments(sp):
     sp.add_argument("--a", type=int, default=None, help="residue a (default: maximize)")
     sp.add_argument("--interval-start", type=int, default=None)
     sp.add_argument("--interval-length", type=int, default=None)
-    sp.add_argument("--trilinear-budget", type=int, default=DEFAULT_TRILINEAR_BUDGET)
     sp.add_argument("--output", type=str, default=None)
 
 

@@ -23,12 +23,9 @@ residue 0 and entry 1 + k is coset k of the subgroup, weighted by exact
 representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
 of cosets; they are expanded to residues only for the result and for the
 literal trilinear check.  That check (trilinear_eval) shares nothing with the
-spectral path but the sets and the subgroup's elements: it verifies that X
-and Y are unions of orbits of the subgroup, takes the sum over X once per
-distinct orbit of the a*z, evaluates G(w) = sum over y of e(w*y/p) from its
-own phase tables once per distinct orbit of the products a*z*x (at most
-M + 1 of them), and holds nothing of length p.  Its budget counts
-|X||Y||Z|/H terms.
+spectral path but the sets and the subgroup's elements, works once per orbit
+of the subgroup, holds nothing of length p, and past TRILINEAR_WORK_LIMIT
+products and phase terms is refused, leaving the spectral values alone.
 """
 
 from __future__ import annotations
@@ -48,10 +45,11 @@ from .energy import (
 )
 from .errors import InputError, ResourceError
 from .expsum import SumTable, max_sum
-from .subgroup import check_int64_products, residue_grid
+from .subgroup import check_int64_products, check_length, residue_grid
 
 REL_TOL = 1e-6
-DEFAULT_TRILINEAR_BUDGET = 10**9
+# Most products and phase terms trilinear_eval may do: about 1.3 s at 13 ns each.
+TRILINEAR_WORK_LIMIT = 10**8
 # Entries per block of the literal trilinear check's products and phases: each
 # block buffer (64 KiB) stays below glibc's mmap threshold, so blocks reuse heap
 # pages rather than fault in fresh ones.
@@ -278,13 +276,14 @@ def _orbit_mins(w: np.ndarray, elements: np.ndarray, p: int, closed: str | None 
     return mins
 
 
-def _first(keys: np.ndarray) -> np.ndarray:
-    """Where each value of a sorted array occurs first (np.unique's mask,
-    without the import of numpy.ma that np.unique costs a fresh process)."""
+def _distinct(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values and np.unique's mask of where each first
+    occurs, without the numpy.ma import that np.unique costs a fresh process."""
+    keys = np.sort(values, axis=None)
     first = np.empty(keys.size, dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return first
+    return keys[first], first
 
 
 def _product_orbits(c: np.ndarray, reps: np.ndarray, elements: np.ndarray, p: int) -> np.ndarray:
@@ -311,13 +310,21 @@ def _phase_sums(u: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
     return g
 
 
+def _within_work_limit(work: int, step: str) -> int:
+    """The trilinear check's work once step is done, if within the limit."""
+    if work > TRILINEAR_WORK_LIMIT:
+        raise ResourceError(
+            f"trilinear work through the {step} = {work} exceeds the limit {TRILINEAR_WORK_LIMIT}"
+        )
+    return work
+
+
 def trilinear_eval(
     x_set: np.ndarray,
     y_set: np.ndarray,
     z_set: np.ndarray,
     a: int,
     p: int,
-    budget: int = DEFAULT_TRILINEAR_BUDGET,
     subgroup: np.ndarray | None = None,
 ) -> float:
     """sum over z of |sum over (x, y) of e(a*x*y*z/p)| by direct evaluation.
@@ -335,36 +342,35 @@ def trilinear_eval(
     products.  Each z reads its orbit's value by bisection, and the values
     are added in the order of Z; Z need not be closed.  Without a subgroup
     every orbit is one residue.  The work is H products per entry of X, Y and
-    Z, H times the orbits of X per orbit of the c_z, and |U|*|Y| phase terms,
-    with |U| at most (p - 1)/H + 1.  No FFT, coset index or pair count is
-    used, so the check stays independent of the spectral stage-3 values.
-    Memory: 4 bytes per orbit product and per distinct orbit (p < 2^32 below
-    the int64 limit), 16 per G value, the two phase tables and blocks of
-    TRILINEAR_BLOCK entries; nothing of length p.  The budget bounds
-    |X|*|Y|*|Z|/H (H = 1 without a subgroup).  A p whose residue products
-    overflow int64 is refused (subgroup.check_int64_products).
+    Z, H per pair of distinct orbits (one of the c_z, one of X) and |Y| phase
+    terms per orbit of U, |U| taken at its bound min(pairs, (p - 1)/H + 1).
+    The first part is held to TRILINEAR_WORK_LIMIT before any product, the
+    whole before the pair products, and the pairs to LENGTH_LIMIT; past a
+    limit, or with p above the int64 limit (check_int64_products), the check
+    is refused (ResourceError).  No FFT, coset index or pair count is used,
+    so the check stays independent of the spectral stage-3 values.  Memory:
+    4 bytes per orbit product and per distinct orbit (p < 2^32 below the
+    int64 limit), 16 per G value, the two phase tables and blocks of
+    TRILINEAR_BLOCK entries; nothing of length p.
     """
     x, y, z = (np.asarray(s, dtype=np.int64) for s in (x_set, y_set, z_set))
     if min(x.size, y.size, z.size) == 0:
         return 0.0
     check_int64_products(p)
     e = np.ones(1, dtype=np.int64) if subgroup is None else np.asarray(subgroup, dtype=np.int64) % p
-    if x.size * y.size * z.size > budget * e.size:
-        raise ResourceError(
-            f"trilinear evaluation needs |X||Y||Z| / H = {x.size * y.size * z.size} / "
-            f"{e.size} terms, budget {budget}"
-        )
+    work = _within_work_limit(e.size * (x.size + y.size + z.size), "orbits of X, Y and a*Z")
     x, y = np.sort(x % p), np.sort(y % p)
     _orbit_mins(y, e, p, closed="Y")
-    keys = np.sort(_orbit_mins(x, e, p, closed="X"))
-    starts = np.flatnonzero(_first(keys))
-    reps, counts = keys[starts], np.diff(starts, append=keys.size)
+    reps, first = _distinct(_orbit_mins(x, e, p, closed="X"))
+    counts = np.diff(np.flatnonzero(first), append=x.size)
     c = _orbit_mins(int(a) % p * (z % p) % p, e, p)
-    orbits = np.sort(c)
-    orbits = orbits[_first(orbits)]
+    orbits = _distinct(c)[0]
+    pairs = orbits.size * reps.size
+    check_length("trilinear orbit pairs |orbits of a*Z| * |orbits of X|", pairs)
+    work += e.size * pairs + min(pairs, (p - 1) // e.size + 1) * y.size  # |U| at its bound
+    _within_work_limit(work, "orbit products and phase terms")
     mins = _product_orbits(orbits, reps, e, p)
-    u = np.sort(mins, axis=None)
-    u = u[_first(u)]
+    u = _distinct(mins)[0]
     g = _phase_sums(u, y, p)
     inner = np.empty(orbits.size, dtype=np.complex128)
     step = max(1, TRILINEAR_BLOCK // reps.size)
@@ -437,7 +443,6 @@ def build_trace(
     a: int | None = None,
     r2: CosetProfile | None = None,
     r3: CosetProfile | None = None,
-    trilinear_budget: int = DEFAULT_TRILINEAR_BUDGET,
 ) -> TraceResult:
     """Run the full three-stage cascade for (p, subgroup, a) on the subgroup's
     sum table.
@@ -464,12 +469,12 @@ def build_trace(
     if mag_a <= 1.0:
         return _degenerate(table, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
     try:
-        return _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget)
+        return _cascade(table, a, shift, mag_a, r2, r3)
     except EmptyTraceError as exc:
         return _degenerate(table, a, delta, str(exc))
 
 
-def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
+def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
     """The three stages of build_trace for a with |S_a| = mag_a > 1 in coset shift."""
     p, H = table.p, table.order
     sub = table.sub
@@ -552,13 +557,13 @@ def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
         )
     )
     x, y, z = sub.members(xc), sub.members(yc), sub.members(zc)
-    tri_direct = None
-    if nx * ny * nz <= trilinear_budget * H:
-        tri_direct = trilinear_eval(x, y, z, a, p, trilinear_budget, sub.elements)
+    try:
+        tri_direct = measured = trilinear_eval(x, y, z, a, p, sub.elements)
+    except ResourceError:
+        tri_direct, measured = None, ts_spectral  # past the work limit
+    else:
         note = "direct per-z evaluation vs spectral stage-3 values"
         checks.append(_check_close("trilinear_direct_agreement", tri_direct, ts_spectral, note=note))
-    tri_bound = trilinear_bound(nx, ny, nz, p)
-    measured = tri_direct if tri_direct is not None else ts_spectral
 
     cascade = Cascade(
         delta=delta,
@@ -608,7 +613,7 @@ def _cascade(table, a, shift, mag_a, r2, r3, trilinear_budget) -> TraceResult:
         reported=reported,
         trilinear_sum=ts_spectral,
         trilinear_direct=tri_direct,
-        trilinear_bound_ratio=measured / tri_bound,
+        trilinear_bound_ratio=measured / trilinear_bound(nx, ny, nz, p),
     )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import math
 import os
@@ -140,6 +141,13 @@ class TestTraceCommand:
         assert run_cli("trace", "--prime", "13", "--order", "12") == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["degenerate"]
+
+    def test_removed_trilinear_option_is_a_usage_error(self, capsys):
+        # the literal check is limited by a constant on its work, not by an option
+        with pytest.raises(SystemExit) as exc:
+            run_cli("trace", "--prime", "101", "--order", "10", "--trilinear-budget", "5")
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert "unrecognized arguments: --trilinear-budget 5" in capsys.readouterr().err
 
     def test_output_file(self, tmp_path):
         out = tmp_path / "trace.json"
@@ -332,7 +340,8 @@ class TestScanCommand:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # run_scan imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         config = dict(p_min=131, p_max=131)
         rows, fits = run_scan(ScanConfig(threads=500, **config))
         assert asked == [2] and [(r["p"], r["H"]) for r in rows] == [(131, 5), (131, 10)]
@@ -580,6 +589,11 @@ class TestProcessEnvironment:
     def test_user_setting_wins(self):
         words = run_python("import expsumlab.cli" + REPORT, OPENBLAS_NUM_THREADS="2")
         assert words[1:] == ["2", "True"]
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # only a scan with more than one worker imports it
+        code = "import sys, expsumlab.cli\nprint('concurrent.futures.process' in sys.modules)"
+        assert run_python(code) == ["False"]
 
     def test_package_import_leaves_environment_alone(self):
         assert run_python("import expsumlab" + REPORT)[1:] == ["None", "False"]

@@ -124,9 +124,46 @@ class TestTrilinearEval:
     def test_zero_a_counts_terms(self):
         assert trilinear_eval([1, 2], [3, 4, 5], [6, 7], 0, 101) == pytest.approx(12.0, abs=1e-9)
 
-    def test_budget(self):
-        with pytest.raises(ResourceError):
-            trilinear_eval(range(100), range(100), range(101), 1, 1009, budget=10**6)
+    def test_budget(self, monkeypatch):
+        """Without a subgroup: 301 products for the orbits of X, Y and a*Z,
+        then 101 * 100 pair products and 100 phase terms for each of
+        min(10100, p) orbits of U.  A limit one unit short of either part
+        refuses before that part runs."""
+        args = (range(100), range(100), range(101), 1, 1009)
+        work = 301 + 101 * 100 + 1009 * 100
+
+        def never(*_):
+            raise AssertionError("ran past the work limit")
+
+        with monkeypatch.context() as m:
+            m.setattr(prooftrace, "TRILINEAR_WORK_LIMIT", 300)
+            m.setattr(prooftrace, "_orbit_mins", never)
+            with pytest.raises(ResourceError, match=r"orbits of X, Y and a\*Z = 301 exceeds the limit 300$"):
+                trilinear_eval(*args)
+        with monkeypatch.context() as m:
+            m.setattr(prooftrace, "TRILINEAR_WORK_LIMIT", work - 1)
+            m.setattr(prooftrace, "_product_orbits", never)
+            with pytest.raises(ResourceError, match=f"phase terms = {work} exceeds the limit {work - 1}$"):
+                trilinear_eval(*args)
+        monkeypatch.setattr(prooftrace, "TRILINEAR_WORK_LIMIT", work)
+        assert trilinear_eval(*args) > 0
+
+    def test_orbit_pairs_above_length_limit(self, monkeypatch):
+        """4000 orbits of a*Z by 4000 of X are 1.6e7 pairs: within the work
+        limit, above the length limit, so refused before the product array."""
+
+        def never(*_):
+            raise AssertionError("the product array was built")
+
+        monkeypatch.setattr(prooftrace, "_product_orbits", never)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="= 16000000 exceeds the length limit 10000000$"):
+                trilinear_eval(range(4000), [1], range(4000), 1, 1000003)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
 
     def test_refused_above_int64_products(self):
         # products of two residues mod p would wrap in int64
@@ -396,19 +433,28 @@ def test_residue_level_oracle_empty_stage3():
     assert residue_level_trace(36697, sub.elements, tr.a)["empty_stage"] == 3
 
 
-def test_trilinear_direct_check_within_budget_over_h():
-    """The budget counts |X||Y||Z|/H: just within it the literal check runs
-    and gives the unlimited trace's value; just above it no check runs."""
+def test_trilinear_direct_check_within_work_limit(monkeypatch):
+    """The check's work at (16111, 18): 18 products per member of X, Y and Z,
+    18 per pair of orbits (of a*Z and of X) and |Y| phase terms for each of
+    min(pairs, M + 1) product orbits.  With that limit the literal check runs
+    and gives the value of the trace under the default limit; one unit below
+    it no check runs, and the spectral values stand alone."""
     table = all_sums(subgroup_of_order(16111, 18))
     full = build_trace(table)
-    terms = full.sets.x.size * full.sets.y.size * full.sets.z.size
-    tr = build_trace(table, trilinear_budget=terms // 18 + 1)
-    assert tr.all_passed and tr.trilinear_direct is not None
-    assert tr.trilinear_direct == full.trilinear_direct
+    assert full.trilinear_direct is not None
+    nx, ny, nz = full.sets.x.size, full.sets.y.size, full.sets.z.size
+    pairs = (nz // 18) * (nx // 18)
+    work = 18 * (nx + ny + nz) + 18 * pairs + min(pairs, 16110 // 18 + 1) * ny
+    assert work == 42876
+    monkeypatch.setattr(prooftrace, "TRILINEAR_WORK_LIMIT", work)
+    tr = build_trace(table)
+    assert tr.all_passed and tr.trilinear_direct == full.trilinear_direct
     assert tr.checks[-1].name == "trilinear_direct_agreement"
-    below = build_trace(table, trilinear_budget=terms // 18 - 1)
+    monkeypatch.setattr(prooftrace, "TRILINEAR_WORK_LIMIT", work - 1)
+    below = build_trace(table)
     assert below.trilinear_direct is None and below.all_passed
     assert "trilinear_direct_agreement" not in [c.name for c in below.checks]
+    assert below.trilinear_sum == full.trilinear_sum
 
 
 def _moment_check(interval, sub, a, m):
