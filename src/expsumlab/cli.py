@@ -134,7 +134,7 @@ def _moment_check(table, m: int, energy: int) -> tuple[float, float, bool]:
     """The moment identity's value, its error bound, and whether the exact
     energy lies within that bound of it (the difference taken exactly)."""
     moment = energy_via_moments(table, m)
-    bound = moment_error_bound(table, m)
+    bound = moment_error_bound(table, m, moment)
     return moment, bound, abs(Fraction(moment) - energy) <= bound
 
 

@@ -5,7 +5,7 @@ the interval's double sum.
 Every count here is constant on the multiplicative cosets of the subgroup,
 so it is evaluated and kept once per coset of the subgroup, plus once at 0;
 nothing of length p is returned.  The additive counts come from the
-Gaussian periods of the sum table by one length-M correlation each, rounded
+Gaussian periods of the sum table by one SumTable.correlate each, rounded
 under a derived error bound and refused where that bound does not certify
 the rounding.  j_count is the one map of an interval to the cosets of the
 table's subgroup, and the double sum at any a is the dot product of its
@@ -58,11 +58,6 @@ class CosetProfile:
         self.energy = self.at_zero * self.at_zero + self.sub.order * squares
 
 
-def _padded_length(cosets: int) -> int:
-    """The least power of two at or above 2M - 1."""
-    return 1 << (2 * cosets - 2).bit_length()
-
-
 def correlation_error_bound(table: SumTable, m: int) -> float:
     """Bound on the distance from the exact counts of every value that
     representation_counts(table, m) rounds (for m = 2 also those of
@@ -75,32 +70,18 @@ def correlation_error_bound(table: SumTable, m: int) -> float:
     norm_b, norm_bm = (math.sqrt(float(np.dot(v, v))) for v in (b, bm))
     sum_bm = float(np.sum(bm))
     s = norm_bm * norm_b  # bounds every lag
-    fft = 2 * FFT_ERROR * (math.log2(_padded_length(b.size)) + 1) * u * norm_bm * float(np.sum(b))
+    fft = 2 * FFT_ERROR * (math.log2(table.padded_length) + 1) * u * norm_bm * float(np.sum(b))
     inputs = math.sqrt(float(np.dot(alpha, alpha))) * norm_b + d * sum_bm
     per_coset = inputs + fft + 5 * u * s + 4 * u * float(order**m)
     at_zero = float(np.sum(alpha)) + b.size * u * sum_bm + 4 * u * (order ** (m - 1) + sum_bm)
     return max(per_coset, at_zero) / p * (1 + 1e-6)
 
 
-def cyclic_correlation(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum over j of conj(f[j]) * g[(j + k) mod M] for every k < M = f.size,
-    by one FFT zero-padded to the least power of two n >= 2M - 1, whatever
-    the factors of M."""
-    cosets = f.size
-    n = _padded_length(cosets)
-    # lag t of the zero-padded correlation is sum over j of conj(f[j]) * g[j + t];
-    # cyclic lag k adds lags k and k - M, at t = k and t = n - M + k
-    corr = np.fft.ifft(np.conj(np.fft.fft(f, n)) * np.fft.fft(g, n))
-    cyclic = corr[:cosets]
-    cyclic[1:] += corr[n - cosets + 1 :]
-    return cyclic
-
-
 def _period_correlation(table: SumTable, f: np.ndarray, m: int) -> tuple[np.ndarray, float]:
-    """The counts before rounding: (H^m + sum over j of f[j] * conj(eta[(j + k) mod M])) / p
-    for every k, and (H^(m-1) + sum of f) / p, the count at 0 over H."""
-    p, order, eta = table.p, table.order, table.eta
-    cyclic = cyclic_correlation(np.conj(f), np.conj(eta)).real
+    """The counts before rounding: (H^m + Re sum over j of f[j] * conj(eta[(j + k) mod M])) / p
+    for every k, read off table.correlate(f), and (H^(m-1) + sum of f) / p over H at 0."""
+    p, order = table.p, table.order
+    cyclic = table.correlate(f).real
     values = (float(order**m) + cyclic) / p
     return values, (float(order ** (m - 1)) + float(np.sum(f.real))) / p
 
@@ -134,9 +115,9 @@ def representation_counts(table: SumTable, m: int) -> CosetProfile:
     (H^(m-1) + sum over j of eta_j^m) / p = r_(m-1)(-1), as r_m(0) = sum over
     h of r_(m-1)(-h) (for the difference counts, (H + sum |eta_j|^2) / p = 1
     by Parseval), so it is rounded before the product by H.  The sum over j
-    is one cyclic correlation, by FFT zero-padded to the least power of two
-    n >= 2M - 1, whatever the factors of M.  Every entry is rounded to the
-    nearest integer once correlation_error_bound(table, m) is below 1/2.
+    is the real part of table.correlate(eta^m), padded to n = padded_length.
+    Every entry is rounded to the nearest integer once
+    correlation_error_bound(table, m) is below 1/2.
     That bound, with u = 2^-53, d the table's period_error and b_j = c_j + d
     for the table's magnitudes c_j, adds:
     - the inputs: the computed period e_j is within d of eta_j (d bounds the
@@ -239,19 +220,16 @@ def energy_via_moments(table: SumTable, m: int) -> float:
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
     powers = table.coset_magnitudes ** (2 * m)
-    if powers.size <= 10**6:
-        total = math.fsum(powers)
-    else:
-        total = float(np.sum(powers))
+    total = math.fsum(powers) if powers.size <= 10**6 else float(np.sum(powers))
     return (float(table.order ** (2 * m)) + table.order * total) / table.p
 
 
-def moment_error_bound(table: SumTable, m: int) -> float:
-    """Bound on |energy_via_moments(table, m) - T_m|, derived there."""
+def moment_error_bound(table: SumTable, m: int, moment: float) -> float:
+    """Bound on |moment - T_m| for moment = energy_via_moments(table, m), derived there."""
     order, c, k = table.order, table.coset_magnitudes, 2 * m
     u, d = 2.0**-53, table.period_error
     periods = k * d * float(np.sum((c + d) ** (k - 1))) + (k + c.size) * u * float(np.sum(c**k))
-    return (order * periods / table.p + 4 * u * energy_via_moments(table, m)) * (1 + 1e-6)
+    return (order * periods / table.p + 4 * u * moment) * (1 + 1e-6)
 
 
 def j_count(interval: Interval, table: SumTable) -> CosetProfile:

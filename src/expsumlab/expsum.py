@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,7 +62,9 @@ class SumTable:
     eta[sub.coset_of(a)] for a != 0, and S_0 is the subgroup order.  Every
     eta[j] lies within period_error of the exact period, and every
     coset_magnitudes[j] within it of |eta_j| (derived in
-    energy.energy_via_moments from the blocks all_sums adds).
+    energy.energy_via_moments from the blocks all_sums adds).  correlate is
+    the one length-M correlation of the program: the energies and stages 2
+    and 3 of the cascade read their lags from it.
     """
 
     p: int
@@ -71,6 +74,30 @@ class SumTable:
     sub: Subgroup = field(repr=False)
     period_error: float
     strategy = "direct"  # one sum per coset; not a field
+
+    @property
+    def padded_length(self) -> int:
+        """The least power of two n >= 2M - 1: no lag of a zero-padded correlation wraps."""
+        return 1 << (2 * self.eta.size - 2).bit_length()
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """The periods' FFT zero-padded to padded_length n, built on first use (16n bytes)."""
+        return np.fft.fft(self.eta, self.padded_length)
+
+    def correlate(self, f: np.ndarray, magnitudes: bool = False) -> np.ndarray:
+        """sum over j of conj(f[j]) * v[(j + k) mod M] for every k < M, v the
+        periods or, with magnitudes, their magnitudes (transformed per call),
+        by one FFT zero-padded to padded_length whatever the factors of M."""
+        m, n = self.eta.size, self.padded_length
+        corr = np.fft.fft(f, n)
+        np.conj(corr, out=corr)
+        corr *= np.fft.fft(self.coset_magnitudes, n) if magnitudes else self.spectrum
+        np.fft.ifft(corr, out=corr)
+        # lag t is sum over j of conj(f[j]) * v[j + t]; cyclic lag k adds t = k and t = n - M + k
+        cyclic = corr[:m]
+        cyclic[1:] += corr[n - m + 1 :]
+        return cyclic
 
 
 def single_sum(a: int, sub: Subgroup) -> complex:

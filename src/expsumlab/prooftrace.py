@@ -17,7 +17,8 @@ multiplicative cosets of the subgroup.  The inner magnitude of a triple
 (x1, x2, x3) depends only on the coset of lam = x1+x2+x3 mod p; the stage-2
 sums over X are a cyclic correlation of the coset magnitudes with X; the
 X x Y product counts depend only on the coset of the product; and the stage-3
-spectrum is a correlation of those counts with the Gaussian periods.  So
+spectrum is a correlation of those counts with the Gaussian periods.  Both
+correlations are the table's (SumTable.correlate), read at a's coset.  So
 every stage runs on arrays of length M + 1 (M = (p-1)/H): entry 0 is the
 residue 0 and entry 1 + k is coset k of the subgroup, weighted by exact
 representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
@@ -38,7 +39,6 @@ import numpy as np
 from .bounds import trilinear_bound
 from .energy import (
     CosetProfile,
-    cyclic_correlation,
     difference_counts,
     interval_subgroup_sum,
     representation_counts,
@@ -514,10 +514,10 @@ def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
     )
 
     # Stage 2: triples (y1,y2,y3), value sum over x in X of |S_{a*x*mu}|;
-    # on coset k it is H * sum over the X-cosets j of mags[j + k].
+    # on coset k it is H * sum over the X-cosets j of mags[j + k], lag shift + k.
     in_x = np.zeros(sub.cosets)
     in_x[xc] = 1.0
-    val2 = _slots(float(H * nx), H * cyclic_correlation(in_x, mags).real)
+    val2 = _slots(float(H * nx), H * np.roll(table.correlate(in_x, magnitudes=True).real, -shift))
     st2, yc = _stage(
         2, checks, H, val2, mults3, float(H), 0.5 * H * delta1_meas**3, nx,
         ("triangle_mass", H * sum_sx3, "mass >= H * sum over X of |S_{ax}|^3"),
@@ -533,7 +533,7 @@ def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
     # |sum over c of w_c * eta_{c + shift + k}| with exact counts w_c.
     w = H * _pair_sums(xc, yc, sub.cosets)
     scale3 = float(nx) * float(ny)
-    v = _slots(scale3, np.abs(cyclic_correlation(w, np.roll(table.eta, -shift))))
+    v = _slots(scale3, np.roll(np.abs(table.correlate(w)), -shift))
     rdiff = r2 if H % 2 == 0 else difference_counts(table)
     mults2 = _slots(rdiff.at_zero, H * rdiff.per_coset)
     st3, zc = _stage(
@@ -575,15 +575,7 @@ def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
         delta2_meas=delta2_meas,
         delta3_meas=delta3_meas,
     )
-    sets = TraceSets(
-        x=x,
-        x_weights=r3.per_coset[sub.coset_of(x)],
-        y=y,
-        z=z,
-        g1=g1,
-        g2=g2,
-        g3=g3,
-    )
+    sets = TraceSets(x, r3.per_coset[sub.coset_of(x)], y, z, g1, g2, g3)
     # Ratios against the nominal sizes of the published chain.  These carry
     # implied constants, so they are reported, never asserted.
     reported = {

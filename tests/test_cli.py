@@ -423,6 +423,35 @@ def test_commands_answer_below_the_label_bytes(capsys):
     assert peak < 2 * p
 
 
+# forward and inverse transforms a command makes: one of the periods per
+# table, then one forward (of the input) and one inverse per correlation,
+# and one more forward at stage 2, of the magnitudes
+FFT_CALLS = [
+    (["trace", "--prime", "16111", "--order", "18"], 6, 4),  # even H: r_2, r_3, stages 2 and 3
+    (["trace", "--prime", "1429", "--order", "17"], 7, 5),  # odd H: and the difference counts
+    (["scan", "--p-min", "201908", "--p-max", "201911", "--alpha-lo", "0.4",
+      "--m", "2,3", "--interval-power", "0.5"], 6, 4),  # two cases: r_2 and r_3 each
+    (["sum", "--prime", "16111", "--order", "18"], 0, 0),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,forward,inverse", FFT_CALLS, ids=[" ".join(argv) for argv, _, _ in FFT_CALLS]
+)
+def test_periods_transformed_once_per_table(argv, forward, inverse, monkeypatch, capsys):
+    calls = dict.fromkeys(("fft", "ifft"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    assert run_cli(*argv) == EXIT_OK
+    assert "warning" not in capsys.readouterr().err
+    assert (calls["fft"], calls["ifft"]) == (forward, inverse)
+
+
 # argv whose usage, help or error the lazy parser must print as the full one does
 PARSER_MESSAGES = [
     [],

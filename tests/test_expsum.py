@@ -309,6 +309,31 @@ class TestIntervalSubgroupSum:
             assert abs(via_table - direct) <= 1e-5 * max(direct, 1.0)
 
 
+class TestCorrelate:
+    # M = 1, 2, 3 and 17, just above 2^4: 2M - 1 = 33 pads to n = 64
+    @pytest.mark.parametrize("p,h", [(13, 12), (13, 6), (13, 4), (103, 6)])
+    @pytest.mark.parametrize("magnitudes", [False, True])
+    def test_against_direct_correlation(self, p, h, magnitudes):
+        table = all_sums(subgroup_of_order(p, h))
+        m = table.eta.size
+        assert m == (p - 1) // h
+        assert table.padded_length == 1 << math.ceil(math.log2(2 * m - 1))
+        rng = np.random.default_rng(m)
+        f = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        v = table.coset_magnitudes if magnitudes else table.eta
+        # the O(M^2) sum over j of conj(f[j]) * v[(j + k) mod M]
+        direct = [sum(f[j].conjugate() * v[(j + k) % m] for j in range(m)) for k in range(m)]
+        got = table.correlate(f, magnitudes=magnitudes)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * h * float(np.sum(np.abs(f)))
+        # the periods' spectrum is kept; the magnitudes' is not
+        assert ("spectrum" in vars(table)) != magnitudes
+        if not magnitudes:
+            spectrum = table.spectrum
+            table.correlate(f)
+            assert table.spectrum is spectrum and spectrum.size == table.padded_length
+
+
 def test_max_sum_allocates_nothing_of_length_p():
     """The sum maximum at p ~ 10^7 holds O(M + sqrt(p)) memory: no per-residue
     array."""

@@ -24,6 +24,7 @@ from expsumlab import (
     moment_inequality_check,
     representation_counts,
     Subgroup,
+    SumTable,
     subgroup_of_order,
     trilinear_eval,
 )
@@ -263,7 +264,8 @@ class TestTrilinearEval:
         for target, name, stub in [
             (np, "fft", Refused()),
             (expsum, "all_sums", refuse),
-            (prooftrace, "cyclic_correlation", refuse),
+            (SumTable, "correlate", refuse),
+            (SumTable, "spectrum", property(refuse)),
             (prooftrace, "_pair_sums", refuse),
             (Subgroup, "coset_of", refuse),
             (Subgroup, "members", refuse),
