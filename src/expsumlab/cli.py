@@ -31,6 +31,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import bounds
 from .energy import (
+    difference_counts,
     energy_via_moments,
     interval_subgroup_sum,
     j_count,
@@ -79,6 +80,8 @@ class ScanConfig:
             raise InputError("window must satisfy 0 < alpha_lo <= alpha_hi <= 1")
         if self.interval_length is not None and self.interval_length < 1:
             raise InputError(f"interval length must be in [1, p], got {self.interval_length}")
+        if self.interval_length is not None and self.interval_power is not None:
+            raise InputError("give --interval-length or --interval-power, not both")
         if self.interval_power is not None and not math.isfinite(self.interval_power):
             raise InputError(f"interval power must be finite, got {self.interval_power}")
         if self.threads < 1:
@@ -122,7 +125,7 @@ def _enumerate_cases(config: ScanConfig) -> list[tuple[int, int]]:
 
 def _resolve_interval(config: ScanConfig, p: int) -> Interval | None:
     length = config.interval_length
-    if length is None and config.interval_power is not None:
+    if config.interval_power is not None:
         # a power of 1 already gives the whole field; capping it keeps p^power finite
         length = max(1, round(p ** min(config.interval_power, 1.0)))
     if length is None:
@@ -348,6 +351,8 @@ def cmd_scan(args) -> int:
         moments = tuple(int(v) for v in args.m.split(",") if v)
     except ValueError:
         raise InputError(f"--m must be a comma list of integers, got {args.m!r}") from None
+    if args.interval_start is not None and args.interval_length is args.interval_power is None:
+        raise InputError("--interval-start needs --interval-length or --interval-power")
     config = ScanConfig(
         p_min=args.p_min,
         p_max=args.p_max,
@@ -384,21 +389,23 @@ def cmd_trace(args) -> int:
     pm = PrimeModulus.from_int(args.prime)
     if args.a is not None and args.a % pm.p == 0:
         raise InputError("a must be nonzero mod p")
-    interval = r2 = r3 = j_prof = None
+    interval = diffs = r3 = j_prof = None
     if args.interval_length is not None:
         interval = Interval(start=args.interval_start or 0, length=args.interval_length)
         interval.check_length(pm.p)
+    elif args.interval_start is not None:
+        raise InputError("--interval-start needs --interval-length")
     table = all_sums(subgroup_of_order(pm, args.order))
     if interval is not None:
         j_prof = j_count(interval, table)
-        r2 = representation_counts(table, 2)
+        diffs = difference_counts(table)
         r3 = representation_counts(table, 3)
     # the table goes positionally: perfbench/layers.py reads p from the first argument
-    trace = build_trace(table, a=args.a, r2=r2, r3=r3)
+    trace = build_trace(table, a=args.a, diffs=diffs, r3=r3)
     moment_checks = []
     if interval is not None:
-        for m, r_m in ((2, r2), (3, r3)):
-            moment_checks.append(moment_inequality_check(table, trace.a, m, r_m, j_prof))
+        for m, r_m in ((2, diffs), (3, r3)):
+            moment_checks.append(moment_inequality_check(table, trace.a, m, r_m.energy, j_prof))
     doc = trace_document(trace, moment_checks)
     _write_output(json.dumps(doc, indent=1) + "\n", args.output)
     ok = trace.degenerate or (trace.all_passed and all(c.passed for c in moment_checks))

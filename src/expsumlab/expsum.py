@@ -30,7 +30,7 @@ from .subgroup import Subgroup, check_length, residue_grid
 # the a* search: small enough to stay in cache, so no block faults in fresh
 # pages.
 TABLE_BLOCK = 2**14
-# Bound, in units of u = 2^-53, on the error of one phase of the sum table;
+# Bound, in units of u = 2^-53, on the error of one phase of phase_tables;
 # derived in energy.energy_via_moments.
 PHASE_ERROR = 29
 
@@ -120,49 +120,55 @@ def phase_tables(p: int) -> tuple[int, np.ndarray, np.ndarray]:
     return b, np.exp(turn * starts), np.exp(turn * np.arange(b, dtype=np.int64))
 
 
+def phase_sums(rows: np.ndarray, cols: np.ndarray, p: int, block: int) -> tuple[np.ndarray, int, int]:
+    """(sums, height, adds): sums[j] = sum over i of e(rows[i] * cols[j] / p),
+    from the phase tables a residue_grid block at a time, in buffers of
+    `block` entries; each entry splits as x = qB + r by a shift and a mask.
+    A one-row block is added as it is.  height is the most rows a block sums
+    and adds the block sums added into each column (the grid tiles every
+    column as column 0): a sum's float error is read off the two (derived in
+    energy.energy_via_moments)."""
+    grid = residue_grid(np.multiply, rows, cols, p, block)
+    b, hi, lo = phase_tables(p)
+    shift, mask = b.bit_length() - 1, b - 1
+    sums = np.zeros(cols.size, dtype=np.complex128)
+    quo = np.empty(block, dtype=np.int64)
+    high, low = np.empty((2, block), dtype=np.complex128)
+    height, adds = 1, 0
+    for _, cs, x in grid:
+        n, shape = x.size, x.shape
+        if cs.start == 0:
+            height, adds = max(height, shape[0]), adds + 1
+        q = np.right_shift(x, shift, out=quo[:n].reshape(shape))
+        z = np.take(hi, q, out=high[:n].reshape(shape), mode="clip")
+        r = np.bitwise_and(x, mask, out=x)
+        w = np.take(lo, r, out=low[:n].reshape(shape), mode="clip")
+        np.multiply(z, w, out=z)
+        sums[cs] += z[0] if shape[0] == 1 else z.sum(axis=0)
+    return sums, height, adds
+
+
 def all_sums(sub: Subgroup) -> SumTable:
     """The table of S_a for a = 0..p-1, as one Gaussian period per coset.
 
     The Gaussian period eta_j = S_(g^j) is the sum of column j of e(g^k/p)
-    laid out as an H x M matrix, accumulated a block at a time from the two
-    phase tables: each entry x of a block splits as x = qB + r by a shift and
-    a mask, as B is a power of two.  A block spans one row once the visited
-    columns number TABLE_BLOCK or more (at p near 10^7, every H up to about
-    300), and such a row is added to the periods as it is, with no reduction.
-    -1 = g^((p-1)/2) halves the work: for odd H it is g^(M/2) times a member
-    of H, so coset j + M/2 is minus coset j and only columns j < M/2 are
-    summed; for even H it lies in H, so row i + H/2 is minus row i and only
-    rows i < H/2 are summed.  A period is the sum of the block sums of its
-    column, so the table's period_error is read off the shapes of the blocks
-    this loop adds (derived in energy.energy_via_moments).  It takes about
-    p/2 phase lookups and holds no array of length p.  A p above the int64
-    limit of the subgroup's products, or more than LENGTH_LIMIT cosets, is
-    refused with ResourceError by sub.reps before any table is built.
+    laid out as an H x M matrix (the elements by the coset representatives),
+    summed by phase_sums in blocks of TABLE_BLOCK entries, which span one row
+    once the visited columns number TABLE_BLOCK or more (at p near 10^7,
+    every H up to about 300).  -1 = g^((p-1)/2) halves the work: for odd H it
+    is g^(M/2) times a member of H, so coset j + M/2 is minus coset j and
+    only columns j < M/2 are summed; for even H it lies in H, so row i + H/2
+    is minus row i and only rows i < H/2 are summed.  period_error is read
+    off the shapes of the blocks phase_sums adds.  It takes about p/2 phase
+    lookups and holds no array of length p.  A p above the int64 limit of
+    the subgroup's products, or more than LENGTH_LIMIT cosets, is refused
+    with ResourceError by sub.reps before any table is built.
     """
     p, order = sub.p, sub.order
     m = sub.cosets
     odd = order % 2 == 1
     rows, cols = (order, m // 2) if odd else (order // 2, m)
-    grid = residue_grid(np.multiply, sub.elements[:rows], sub.reps[:cols], p, TABLE_BLOCK)
-    b, hi, lo = phase_tables(p)
-    shift, mask = b.bit_length() - 1, b - 1
-    eta = np.zeros(cols, dtype=np.complex128)
-    # buffers reused by every block
-    quo = np.empty(TABLE_BLOCK, dtype=np.int64)
-    high, low = np.empty((2, TABLE_BLOCK), dtype=np.complex128)
-    # the most rows a block sums, and the block sums added into one period:
-    # every column is tiled by the same rows as column 0
-    height, adds = 1, 0
-    for _, cs, block in grid:
-        n, shape = block.size, block.shape
-        if cs.start == 0:
-            height, adds = max(height, shape[0]), adds + 1
-        q = np.right_shift(block, shift, out=quo[:n].reshape(shape))
-        z = np.take(hi, q, out=high[:n].reshape(shape), mode="clip")
-        r = np.bitwise_and(block, mask, out=block)
-        w = np.take(lo, r, out=low[:n].reshape(shape), mode="clip")
-        np.multiply(z, w, out=z)
-        eta[cs] += z[0] if shape[0] == 1 else z.sum(axis=0)
+    eta, height, adds = phase_sums(sub.elements[:rows], sub.reps[:cols], p, TABLE_BLOCK)
     error = order * 2.0**-53 * (PHASE_ERROR + 2 + 1.5 * (height - 1 + adds))
     if odd:
         eta = np.concatenate((eta, eta.conj()))

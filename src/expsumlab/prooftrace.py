@@ -23,10 +23,11 @@ every stage runs on arrays of length M + 1 (M = (p-1)/H): entry 0 is the
 residue 0 and entry 1 + k is coset k of the subgroup, weighted by exact
 representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
 of cosets; they are expanded to residues only for the result and for the
-literal trilinear check.  That check (trilinear_eval) shares nothing with the
-spectral path but the sets and the subgroup's elements, works once per orbit
-of the subgroup, holds nothing of length p, and past TRILINEAR_WORK_LIMIT
-products and phase terms is refused, leaving the spectral values alone.
+literal trilinear check.  That check (trilinear_eval) shares residue_grid
+and the phase kernel (expsum.phase_sums) with the sum table, but no FFT,
+coset index, table or pair count; it works once per orbit of the subgroup,
+holds nothing of length p, and past TRILINEAR_WORK_LIMIT products and phase
+terms is refused, leaving the spectral values alone.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .energy import (
     representation_counts,
 )
 from .errors import InputError, ResourceError
-from .expsum import SumTable, max_sum
+from .expsum import SumTable, max_sum, phase_sums
 from .subgroup import check_int64_products, check_length, residue_grid
 
 REL_TOL = 1e-6
@@ -70,9 +71,6 @@ class StageResult:
     delta: float  # 2^{-i0-1}: guaranteed per-member fraction of the scale
     lambdas: np.ndarray  # residues whose values landed in the chosen bucket
     weight: int  # total tuple multiplicity mapped into the bucket
-    scale: float
-    floor: float
-    total_mass: float  # multiplicity-weighted mass before the discard
     retained_mass: float  # mass of values at or above the floor
     nonempty_buckets: int
     bucket_cap: int  # ceil(log2(scale/floor)) + 1
@@ -134,7 +132,6 @@ class TraceSets:
     """X, Y, Z with the tuple counts of the buckets they came from."""
 
     x: np.ndarray
-    x_weights: np.ndarray  # representation multiplicities J(x) within the bucket
     y: np.ndarray
     z: np.ndarray
     g1: int
@@ -182,9 +179,7 @@ def dyadic_stage(
     mults = np.asarray(mults, dtype=np.int64)
     if floor <= 0 or scale <= 0:
         raise InputError("scale and floor must be positive")
-    live = mults > 0
-    total_mass = float(np.sum(mags * mults))
-    keep = live & (mags >= floor)
+    keep = (mults > 0) & (mags >= floor)
     if not np.any(keep):
         raise EmptyTraceError(f"no weighted value reached the floor {floor:.3g}")
     kept_lam = np.nonzero(keep)[0].astype(np.int64)
@@ -210,9 +205,6 @@ def dyadic_stage(
         delta=2.0 ** (-(i0 + 1)),
         lambdas=kept_lam[in_bucket],
         weight=int(np.sum(kmults[in_bucket])),
-        scale=float(scale),
-        floor=float(floor),
-        total_mass=total_mass,
         retained_mass=retained_mass,
         nonempty_buckets=int(np.count_nonzero(mult_per)),
         bucket_cap=math.ceil(math.log2(scale / floor)) + 1,
@@ -294,22 +286,6 @@ def _product_orbits(c: np.ndarray, reps: np.ndarray, elements: np.ndarray, p: in
     return out
 
 
-def _phase_sums(u: np.ndarray, y: np.ndarray, p: int) -> np.ndarray:
-    """G(w) = sum over y of e(w*y/p) for each w in u, term by term: with
-    B = 2^k >= sqrt(p) each phase is e(hi*B/p) * e(lo/p) for r = w*y mod p =
-    hi*B + lo, from two tables of about sqrt(p) exponentials each."""
-    k = (int(p).bit_length() + 1) // 2
-    low = np.exp(np.arange(1 << k) * (2j * np.pi / p))
-    high = np.exp(np.arange(((p - 1) >> k) + 1) * (2j * np.pi * (1 << k) / p))
-    g = np.zeros(u.size, dtype=np.complex128)
-    buf = np.empty(TRILINEAR_BLOCK, dtype=np.complex128)
-    for rows, _, r in residue_grid(np.multiply, u, y, p, TRILINEAR_BLOCK):
-        phases = np.take(high, r >> k, out=buf[: r.size].reshape(r.shape), mode="clip")
-        phases *= np.take(low, np.bitwise_and(r, (1 << k) - 1, out=r))
-        g[rows] += phases.sum(axis=1)
-    return g
-
-
 def _within_work_limit(work: int, step: str) -> int:
     """The trilinear check's work once step is done, if within the limit."""
     if work > TRILINEAR_WORK_LIMIT:
@@ -331,24 +307,27 @@ def trilinear_eval(
 
     The literal sum, regrouped: with c_z = a*z mod p it is sum over z of
     |sum over x of G(c_z*x mod p)|, where G(w) = sum over y of e(w*y/p) is
-    evaluated term by term (_phase_sums).  Given the elements of a subgroup,
-    X and Y must be unchanged as multisets by the product with each element
-    (InputError otherwise; build_trace passes unions of cosets).  Then G is
-    the same at every point of an orbit wH, and the sum over x the same at
-    every c_z of an orbit, so X keeps the least member of each orbit it meets
-    with the number of its entries there, each c_z and each product c_z*x is
-    mapped to the least member of its orbit, the sum over x is taken once per
-    distinct orbit of the c_z, and G once per distinct orbit U of the
-    products.  Each z reads its orbit's value by bisection, and the values
-    are added in the order of Z; Z need not be closed.  Without a subgroup
-    every orbit is one residue.  The work is H products per entry of X, Y and
-    Z, H per pair of distinct orbits (one of the c_z, one of X) and |Y| phase
-    terms per orbit of U, |U| taken at its bound min(pairs, (p - 1)/H + 1).
+    evaluated term by term by the sum table's kernel (expsum.phase_sums),
+    each phase within PHASE_ERROR * 2^-53 of e(x/p).  Given the elements of
+    a subgroup, X and Y must be unchanged as multisets by the product with
+    each element (InputError otherwise; build_trace passes unions of
+    cosets).  Then G is the same at every point of an orbit wH, and the sum
+    over x the same at every c_z of an orbit, so X keeps the least member of
+    each orbit it meets with the number of its entries there, each c_z and
+    each product c_z*x is mapped to the least member of its orbit, the sum
+    over x is taken once per distinct orbit of the c_z, and G once per
+    distinct orbit U of the products.  Each z reads its orbit's value by
+    bisection, and the values are added by math.fsum, exactly rounded; Z
+    need not be closed.  Without a subgroup every orbit is one residue.  The
+    work is H products per entry of X, Y and Z, H per pair of distinct orbits
+    (one of the c_z, one of X) and |Y| phase terms per orbit of U, |U| taken
+    at its bound min(pairs, (p - 1)/H + 1).
     The first part is held to TRILINEAR_WORK_LIMIT before any product, the
     whole before the pair products, and the pairs to LENGTH_LIMIT; past a
     limit, or with p above the int64 limit (check_int64_products), the check
-    is refused (ResourceError).  No FFT, coset index or pair count is used,
-    so the check stays independent of the spectral stage-3 values.  Memory:
+    is refused (ResourceError).  It shares residue_grid and the phase kernel
+    with the sum table, but no FFT, coset index, table or pair count, so the
+    check stays independent of the spectral stage-3 values.  Memory:
     4 bytes per orbit product and per distinct orbit (p < 2^32 below the
     int64 limit), 16 per G value, the two phase tables and blocks of
     TRILINEAR_BLOCK entries; nothing of length p.
@@ -371,19 +350,14 @@ def trilinear_eval(
     _within_work_limit(work, "orbit products and phase terms")
     mins = _product_orbits(orbits, reps, e, p)
     u = _distinct(mins)[0]
-    g = _phase_sums(u, y, p)
+    g = phase_sums(y, u, p, TRILINEAR_BLOCK)[0]
     inner = np.empty(orbits.size, dtype=np.complex128)
     step = max(1, TRILINEAR_BLOCK // reps.size)
     for i in range(0, orbits.size, step):
         terms = np.take(g, np.searchsorted(u, mins[i : i + step]))
         terms *= counts
         inner[i : i + step] = terms.sum(axis=1)
-    total = comp = 0.0
-    for v in np.abs(inner)[np.searchsorted(orbits, c)].tolist():
-        t = total + v
-        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
-        total = t
-    return total + comp
+    return math.fsum(np.abs(inner)[np.searchsorted(orbits, c)].tolist())
 
 
 def _degenerate(table: SumTable, a: int, delta: float, reason: str) -> TraceResult:
@@ -441,16 +415,17 @@ def _stage(
 def build_trace(
     table: SumTable,
     a: int | None = None,
-    r2: CosetProfile | None = None,
+    diffs: CosetProfile | None = None,
     r3: CosetProfile | None = None,
 ) -> TraceResult:
     """Run the full three-stage cascade for (p, subgroup, a) on the subgroup's
     sum table.
 
-    Defaults: a is the smallest residue attaining max |S_a|; the 2- and
-    3-fold representation profiles are computed from the table's periods
-    when the cascade needs them.  For even H, -1 lies in the subgroup, so
-    the stage-3 difference counts are r2 itself.
+    Defaults: a is the smallest residue attaining max |S_a|; the difference
+    profile (difference_counts, read by stage 3 at every H, its energy T_2)
+    and the 3-fold representation profile r3 (read by stages 1 and 2, its
+    energy T_3) are computed from the table's periods when the cascade needs
+    them.
     Every outcome is a TraceResult.  The full group, |S_a| <= 1 and a stage
     that ends empty (its reason names the stage) come back with the
     degenerate flag set, delta in reported and no assertions.
@@ -469,21 +444,20 @@ def build_trace(
     if mag_a <= 1.0:
         return _degenerate(table, a, delta, f"|S_a| = {mag_a:.6g} <= 1, no saving to trace")
     try:
-        return _cascade(table, a, shift, mag_a, r2, r3)
+        return _cascade(table, a, shift, mag_a, diffs, r3)
     except EmptyTraceError as exc:
         return _degenerate(table, a, delta, str(exc))
 
 
-def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
+def _cascade(table, a, shift, mag_a, diffs, r3) -> TraceResult:
     """The three stages of build_trace for a with |S_a| = mag_a > 1 in coset shift."""
     p, H = table.p, table.order
     sub = table.sub
     delta = mag_a / H
-    if r2 is None:
-        r2 = representation_counts(table, 2)
+    if diffs is None:
+        diffs = difference_counts(table)
     if r3 is None:
         r3 = representation_counts(table, 3)
-    t3 = r3.energy
 
     # Every stage works on _slots arrays; multiplicities are H times the
     # per-coset counts.  On coset k, |S_{a*lam}| is the magnitude of coset shift + k.
@@ -497,7 +471,7 @@ def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
         1, checks, H, mags_at, mults3, float(H), 0.5 * H * delta**3, 1,
         ("triangle_mass", H * mag_a**3, "mass >= H^4 * Delta^3"),
         (0.5 * H * mag_a**3, "mass above floor >= H^4 * Delta^3 / 2"),
-        delta, t3, "triple-sum",
+        delta, r3.energy, "triple-sum",
     )
     nx = H * xc.size
     sx = mags[xc]
@@ -522,7 +496,7 @@ def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
         2, checks, H, val2, mults3, float(H), 0.5 * H * delta1_meas**3, nx,
         ("triangle_mass", H * sum_sx3, "mass >= H * sum over X of |S_{ax}|^3"),
         (0.5 * H**4 * nx * delta1_meas**3, None),
-        st1.delta, t3, "triple-sum",
+        st1.delta, r3.energy, "triple-sum",
     )
     ny = H * yc.size
     delta2_meas = float(np.sum(val2[1 + yc])) / (nx * ny)  # H * that sum over H * |X||Y|
@@ -530,18 +504,18 @@ def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
     # Stage 3: pairs (z1,z2), value |sum over X x Y of e(a*x*y*(z1-z2))|,
     # which depends only on the coset k of d = z1-z2.  Coset pairs (i, j)
     # of X x Y put H products on each residue of coset i + j, so the value is
-    # |sum over c of w_c * eta_{c + shift + k}| with exact counts w_c.
+    # |sum over c of w_c * eta_{c + shift + k}| with exact counts w_c.  Each d
+    # weighs as many pairs as the difference counts give it (energy T_2).
     w = H * _pair_sums(xc, yc, sub.cosets)
     scale3 = float(nx) * float(ny)
     v = _slots(scale3, np.roll(np.abs(table.correlate(w)), -shift))
-    rdiff = r2 if H % 2 == 0 else difference_counts(table)
-    mults2 = _slots(rdiff.at_zero, H * rdiff.per_coset)
+    mults2 = _slots(diffs.at_zero, H * diffs.per_coset)
     st3, zc = _stage(
         3, checks, H, v, mults2, scale3, 0.5 * scale3 * delta2_meas**2, 1,
         ("cauchy_schwarz_mass", (H * scale3 * delta2_meas) ** 2 / scale3,
          "mass >= H^2 |X||Y| delta2_meas^2"),
         (0.5 * H * H * scale3 * delta2_meas**2, None),
-        st2.delta, r2.energy, "difference",
+        st2.delta, diffs.energy, "difference",
     )
     nz = H * zc.size
     g1, g2, g3 = st1.weight, st2.weight, st3.weight
@@ -575,7 +549,7 @@ def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
         delta2_meas=delta2_meas,
         delta3_meas=delta3_meas,
     )
-    sets = TraceSets(x, r3.per_coset[sub.coset_of(x)], y, z, g1, g2, g3)
+    sets = TraceSets(x, y, z, g1, g2, g3)
     # Ratios against the nominal sizes of the published chain.  These carry
     # implied constants, so they are reported, never asserted.
     reported = {
@@ -610,21 +584,20 @@ def _cascade(table, a, shift, mag_a, r2, r3) -> TraceResult:
 
 
 def moment_inequality_check(
-    table: SumTable, a: int, m: int, r_m: CosetProfile, j_prof: CosetProfile
+    table: SumTable, a: int, m: int, t_m: int, j_prof: CosetProfile
 ) -> CheckResult:
     """S^{2m} <= (N^{2m-2}/H^2) * J * p * T_m with measured S, exact J, T_m.
 
     The right side combines a Hoelder step with Cauchy-Schwarz, so the
     inequality is a theorem; only the measured left side carries float error.
-    r_m is the m-fold profile of the table's subgroup and j_prof the
-    collision profile of the interval with it, from which S, J and the
-    interval length N are all read.
+    t_m is the exact m-fold energy of the table's subgroup (for m = 2 the
+    energy of its difference counts) and j_prof the collision profile of the
+    interval with it, from which S, J and the interval length N are all read.
     """
     if m < 2:
         raise InputError(f"moment check needs m >= 2, got {m}")
     p, H = table.p, table.order
     s_val = interval_subgroup_sum(a, j_prof, table)
-    t_m = r_m.energy
     n_len = int(j_prof.per_coset.sum()) + j_prof.at_zero // H
     rhs_exact = n_len ** (2 * m - 2) * j_prof.energy * p * t_m
     lhs = s_val ** (2 * m)

@@ -257,7 +257,7 @@ def residue_level_trace(p: int, elements, a: int) -> dict:
     from shifts of the indicator; |S_b| is numpy's FFT of the indicator.
     Stage 2 sums |S_{a x lam}| over X one x at a time, stage 3 counts the X x Y
     products at every residue and takes their length-p FFT.  Same result
-    keys as tuple_level_trace, plus the triple counts x_weights at X.
+    keys as tuple_level_trace.
     """
     elements = np.asarray(elements, dtype=np.int64)
     H = elements.size
@@ -301,7 +301,6 @@ def residue_level_trace(p: int, elements, a: int) -> dict:
         "delta": delta,
         "i0": (i1, i2, i3),
         "x": x.tolist(),
-        "x_weights": r3[x].tolist(),
         "y": y.tolist(),
         "z": z.tolist(),
         "g_sizes": (g1, g2, g3),

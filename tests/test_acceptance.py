@@ -125,9 +125,8 @@ def test_criterion_6_moment_inequality():
             table = all_sums(sub)
             iv = Interval(start, n_len)
             for m in (2, 3):
-                c = moment_inequality_check(
-                    table, a, m, representation_counts(table, m), j_count(iv, table)
-                )
+                t_m = representation_counts(table, m).energy
+                c = moment_inequality_check(table, a, m, t_m, j_count(iv, table))
                 assert c.passed, (p, h, n_len, start, a, m, c)
 
 

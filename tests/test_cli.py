@@ -23,6 +23,7 @@ from expsumlab.cli import (
     main,
     run_scan,
 )
+from expsumlab.energy import representation_counts
 from oracles import indicator, subgroup_sum
 
 
@@ -176,7 +177,7 @@ class TestTraceCommand:
         assert all(c["pass"] for c in doc["moment_checks"])
 
     def test_interval_energies_computed_once(self, capsys, monkeypatch):
-        calls = {"representation_counts": 0, "j_count": 0, "residues": 0}
+        calls = {"representation_counts": 0, "difference_counts": 0, "j_count": 0, "residues": 0}
         for module in (cli, prooftrace, Interval):
             # patched only where the name is bound: prooftrace has no j_count
             for name in (n for n in calls if hasattr(module, n)):
@@ -188,7 +189,7 @@ class TestTraceCommand:
         argv = ["trace", "--prime", "101", "--order", "10", "--interval-start", "0",
                 "--interval-length", "10"]
         assert run_cli(*argv) == EXIT_OK
-        assert calls == {"representation_counts": 2, "j_count": 1, "residues": 1}
+        assert calls == {"representation_counts": 1, "difference_counts": 1, "j_count": 1, "residues": 1}
         assert all(c["pass"] for c in json.loads(capsys.readouterr().out)["moment_checks"])
         # a scan lists each row's interval once, for J and the double sum alike
         calls.update(j_count=0, residues=0)
@@ -197,32 +198,32 @@ class TestTraceCommand:
         assert len(rows) == 2 and all(row.split(",")[10] for row in rows)
         assert calls["j_count"] == calls["residues"] == 2
 
-    def test_even_order_stage3_reuses_r2(self, capsys, monkeypatch):
-        # for even H, -1 lies in H, so the stage-3 difference counts are r_2
+    def test_stage3_reads_the_difference_counts(self, capsys, monkeypatch):
+        # at every H stage 3 reads the difference counts, and r_m only at m = 3
         calls = []
-        real = prooftrace.difference_counts
+        for name in ("difference_counts", "representation_counts"):
+            def counted(table, *m, _fn=getattr(prooftrace, name), _name=name):
+                calls.append((_name, *m))
+                return _fn(table, *m)
 
-        def counted(table):
-            calls.append(table.order)
-            return real(table)
-
-        monkeypatch.setattr(prooftrace, "difference_counts", counted)
-        for p, h, expected in ((1009, 14, []), (13, 3, [3])):
+            monkeypatch.setattr(prooftrace, name, counted)
+        for p, h in ((1009, 14), (13, 3), (1429, 17)):
             calls.clear()
             assert run_cli("trace", "--prime", str(p), "--order", str(h)) == EXIT_OK
             doc = json.loads(capsys.readouterr().out)
-            assert not doc["degenerate"] and calls == expected, (p, h)
+            assert not doc["degenerate"], (p, h)
+            assert sorted(calls) == [("difference_counts",), ("representation_counts", 3)], (p, h)
         assert run_cli("trace", "--prime", "1009", "--order", "14") == EXIT_OK
-        reused = capsys.readouterr().out
+        counted_once = capsys.readouterr().out
 
-        def with_difference_profile(table, r2=None, r3=None, **kwargs):
-            # the difference profile in the place of r_2: stage 3 reads it as before
-            r3 = prooftrace.representation_counts(table, 3)
-            return prooftrace.build_trace(table, r2=real(table), r3=r3, **kwargs)
+        def with_r2(table, diffs=None, r3=None, **kwargs):
+            # for even H, -1 lies in H, so r_2 is the difference profile
+            r2, r3 = (representation_counts(table, m) for m in (2, 3))
+            return prooftrace.build_trace(table, diffs=r2, r3=r3, **kwargs)
 
-        monkeypatch.setattr(cli, "build_trace", with_difference_profile)
+        monkeypatch.setattr(cli, "build_trace", with_r2)
         assert run_cli("trace", "--prime", "1009", "--order", "14") == EXIT_OK
-        assert capsys.readouterr().out == reused
+        assert capsys.readouterr().out == counted_once
 
     def test_empty_stage3_document(self, capsys):
         # stage 3 of (36697, 22) ends empty: a is reduced mod p however it is given
@@ -427,8 +428,8 @@ def test_commands_answer_below_the_label_bytes(capsys):
 # table, then one forward (of the input) and one inverse per correlation,
 # and one more forward at stage 2, of the magnitudes
 FFT_CALLS = [
-    (["trace", "--prime", "16111", "--order", "18"], 6, 4),  # even H: r_2, r_3, stages 2 and 3
-    (["trace", "--prime", "1429", "--order", "17"], 7, 5),  # odd H: and the difference counts
+    (["trace", "--prime", "16111", "--order", "18"], 6, 4),  # differences, r_3, stages 2 and 3
+    (["trace", "--prime", "1429", "--order", "17"], 6, 4),  # odd H alike
     (["scan", "--p-min", "201908", "--p-max", "201911", "--alpha-lo", "0.4",
       "--m", "2,3", "--interval-power", "0.5"], 6, 4),  # two cases: r_2 and r_3 each
     (["sum", "--prime", "16111", "--order", "18"], 0, 0),
@@ -491,6 +492,20 @@ REFUSED_BEFORE_THE_TABLE = [
     (
         ["scan", "--p-min", "200000", "--p-max", "200100", "--interval-length", "0"],
         "interval length must be in [1, p], got 0",
+    ),
+    # interval options that would otherwise be dropped without a word
+    (
+        ["trace", "--prime", "9999991", "--order", "2", "--interval-start", "5"],
+        "--interval-start needs --interval-length",
+    ),
+    (
+        ["scan", "--p-min", "200000", "--p-max", "200100", "--interval-start", "5"],
+        "--interval-start needs --interval-length or --interval-power",
+    ),
+    (
+        ["scan", "--p-min", "200000", "--p-max", "200100", "--interval-length", "10",
+         "--interval-power", "0.5"],
+        "give --interval-length or --interval-power, not both",
     ),
 ]
 

@@ -21,7 +21,7 @@ from expsumlab import (
     single_sum,
     subgroup_of_order,
 )
-from expsumlab.expsum import phase_tables
+from expsumlab.expsum import phase_sums, phase_tables
 from expsumlab.expsum import TABLE_BLOCK
 from oracles import indicator, naive_dft, parseval_defect, spread, subgroup_sum
 
@@ -222,6 +222,29 @@ def test_phase_tables_split(p):
     b, hi, lo = phase_tables(p)
     assert b & (b - 1) == 0 and b > math.isqrt(p - 1)
     assert lo.size == b and b * (hi.size - 1) <= p - 1 < b * hi.size
+
+
+# (rows, cols, block, rows a block sums, block sums added into column 0)
+PHASE_GRIDS = [
+    (30, 5, 1, 1, 30),  # one entry a block
+    (30, 5, 7, 1, 30),  # one row of 5 columns a block
+    (30, 5, 64, 12, 3),  # 12 rows of 5 columns, the last block 6 rows
+    (30, 100, 64, 1, 30),  # one row of 64 columns a block, then of 36
+    (1, 9, 7, 1, 1),
+    (0, 5, 7, 1, 0),  # no rows: every sum is 0
+    (30, 0, 7, 1, 0),  # no columns: no sums
+]
+
+
+@pytest.mark.parametrize("p", [1009, 9999991])
+@pytest.mark.parametrize("nr,nc,block,height,adds", PHASE_GRIDS)
+def test_phase_sums_against_np_exp(p, nr, nc, block, height, adds):
+    rng = np.random.default_rng(nr * nc + block)
+    rows, cols = (rng.integers(0, p, size=n, dtype=np.int64) for n in (nr, nc))
+    sums, got_height, got_adds = phase_sums(rows, cols, p, block)
+    want = np.exp(2j * np.pi * (rows[:, None] * cols % p) / p).sum(axis=0)
+    assert sums.shape == (nc,) and (got_height, got_adds) == (height, adds)
+    assert np.all(np.abs(sums - want) <= 1e-13 * max(nr, 1))
 
 
 class TestMaxSum:
