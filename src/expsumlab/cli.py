@@ -67,13 +67,15 @@ class ScanConfig:
     p_max: int
     alpha_lo: float = 0.25
     alpha_hi: float = 0.5
-    interval_start: int = 0
+    interval_start: int | None = None
     interval_length: int | None = None
     interval_power: float | None = None
     moments: tuple[int, ...] = ()
     threads: int = 1
 
     def __post_init__(self) -> None:
+        if self.interval_start is not None and self.interval_length is self.interval_power is None:
+            raise InputError("--interval-start needs --interval-length or --interval-power")
         if self.p_min > self.p_max:
             raise InputError(f"p_min {self.p_min} exceeds p_max {self.p_max}")
         if not 0 < self.alpha_lo <= self.alpha_hi <= 1:
@@ -130,7 +132,7 @@ def _resolve_interval(config: ScanConfig, p: int) -> Interval | None:
         length = max(1, round(p ** min(config.interval_power, 1.0)))
     if length is None:
         return None
-    return Interval(start=config.interval_start, length=length)
+    return Interval(start=config.interval_start or 0, length=length)
 
 
 def _moment_check(table, m: int, energy: int) -> tuple[float, float, bool]:
@@ -351,14 +353,12 @@ def cmd_scan(args) -> int:
         moments = tuple(int(v) for v in args.m.split(",") if v)
     except ValueError:
         raise InputError(f"--m must be a comma list of integers, got {args.m!r}") from None
-    if args.interval_start is not None and args.interval_length is args.interval_power is None:
-        raise InputError("--interval-start needs --interval-length or --interval-power")
     config = ScanConfig(
         p_min=args.p_min,
         p_max=args.p_max,
         alpha_lo=args.alpha_lo,
         alpha_hi=args.alpha_hi,
-        interval_start=args.interval_start or 0,
+        interval_start=args.interval_start,
         interval_length=args.interval_length,
         interval_power=args.interval_power,
         moments=moments,

@@ -4,12 +4,14 @@ the interval's double sum.
 
 Every count here is constant on the multiplicative cosets of the subgroup,
 so it is evaluated and kept once per coset of the subgroup, plus once at 0;
-nothing of length p is returned.  The additive counts come from the
-Gaussian periods of the sum table by one SumTable.correlate each, rounded
-under a derived error bound and refused where that bound does not certify
-the rounding.  j_count is the one map of an interval to the cosets of the
-table's subgroup, and the double sum at any a is the dot product of its
-counts with the table's magnitudes.
+nothing of length p is returned.  The additive counts are cyclotomic
+numbers, each profile counted by the one of two routes that
+SumTable.direct_is_cheaper picks: exactly, by coset lookups of the sums
+1 + t (+ t') over the subgroup, or from the Gaussian periods of the sum
+table by one SumTable.correlate, rounded under a derived error bound and
+refused where that bound does not certify the rounding.  j_count is the one
+map of an interval to the cosets of the table's subgroup, and the double
+sum at any a is the dot product of its counts with the table's magnitudes.
 Everything is integer-exact: the counts run in int64 (they fit whenever the
 H^{2m} overflow guard passes), and each profile's energy sums their squares
 in int64 where the counts bound that sum below 2^63, in Python ints otherwise.
@@ -24,13 +26,15 @@ import numpy as np
 
 from .errors import InputError, ResourceError
 from .expsum import Interval, SumTable
-from .subgroup import Subgroup
+from .subgroup import Subgroup, residue_grid
 
 # Budget guard: ENERGY_CAP mirrors a 128-bit accumulator.
 ENERGY_CAP = 1 << 127
 # Bound, in units of u = 2^-53 per level of a power-of-two FFT, on one lag of
 # a padded correlation; derived in representation_counts.
 FFT_ERROR = 26
+# Sums per residue_grid block of the lookup route, so no H^2 array is built.
+LOOKUP_BLOCK = 2**16
 
 
 @dataclass(eq=False)
@@ -86,30 +90,72 @@ def _period_correlation(table: SumTable, f: np.ndarray, m: int) -> tuple[np.ndar
     return values, (float(order ** (m - 1)) + float(np.sum(f.real))) / p
 
 
-def _profile(table: SumTable, f: np.ndarray, m: int) -> tuple[np.ndarray, int]:
-    """The correlation of f with the periods, rounded once
-    correlation_error_bound(table, m) certifies it and refused otherwise;
-    with the identities every count profile of m-fold sums satisfies."""
-    order = table.order
+def _transform_counts(table: SumTable, m: int, sign: int = 1) -> tuple[np.ndarray, int]:
+    """The transform route to (per_coset, at_zero) of the m-fold sums, or for
+    sign -1 of the differences (m = 2): the correlation of eta^m, or of
+    |eta|^2, with the periods, rounded once correlation_error_bound(table, m)
+    certifies it and refused otherwise."""
     bound = correlation_error_bound(table, m)
     if bound >= 0.5:
         raise ResourceError(
-            f"counts of {m}-fold sums at p = {table.p}, H = {order} are certified only "
+            f"counts of {m}-fold sums at p = {table.p}, H = {table.order} are certified only "
             f"within {bound:.3g}, not below 1/2"
         )
+    if sign < 0:
+        f = table.coset_magnitudes**2
+    else:
+        f = table.eta
+        for _ in range(m - 1):
+            f = f * table.eta
     values, zero = _period_correlation(table, f, m)
-    per_coset, at_zero = np.rint(values).astype(np.int64), order * round(zero)
+    return np.rint(values).astype(np.int64), table.order * round(zero)
+
+
+def _lookup_counts(table: SumTable, m: int, sign: int = 1) -> tuple[np.ndarray, int]:
+    """The lookup route to the same counts, for m = 2 and 3: per_coset[k] the
+    tuples (t2, ..., tm) of H^(m-1) with 1 + t2 + ... + tm in coset k (1 - t2
+    for sign -1), and at_zero H times those whose sum is 0, by a bincount of
+    Subgroup.coset_of over residue_grid blocks of LOOKUP_BLOCK sums, so no
+    array of H^2 sums is built."""
+    sub, p = table.sub, table.p
+    rows = np.ones(1, dtype=np.int64) if m == 2 else (1 + sub.elements) % p
+    cols = sub.elements if sign > 0 else p - sub.elements
+    counts = np.zeros(sub.cosets + 1, dtype=np.int64)
+    for _, _, x in residue_grid(np.add, rows, cols, p, LOOKUP_BLOCK):
+        counts += np.bincount(sub.coset_of(x.ravel()), minlength=counts.size)
+    return counts[:-1], sub.order * int(counts[-1])
+
+
+def _counts(table: SumTable, m: int, sign: int = 1) -> CosetProfile:
+    """The profile by the route table.direct_is_cheaper picks for H^(m-1)
+    lookups, with the identities every count profile of m-fold sums
+    satisfies."""
+    order = table.order
+    lookups = m in (2, 3) and table.direct_is_cheaper(lookups=order ** (m - 1))
+    per_coset, at_zero = (_lookup_counts if lookups else _transform_counts)(table, m, sign)
     assert at_zero >= 0 and bool(np.all(per_coset >= 0)), "negative count"
     assert at_zero + order * int(np.sum(per_coset)) == order**m, "counts do not add up to H^m"
-    return per_coset, at_zero
+    return CosetProfile(per_coset, at_zero, table.sub)
 
 
 def representation_counts(table: SumTable, m: int) -> CosetProfile:
     """m-fold additive representation counts r_m(lam), the number of m-tuples
-    of subgroup elements summing to lam, once per coset, from the periods.
+    of subgroup elements summing to lam, once per coset, by one of two routes
+    that give the same exact integers; table.direct_is_cheaper picks the
+    lookups, for m = 2 and 3, when their H^(m-1) lookups cost less than a
+    correlation.
 
-    On coset k of the subgroup, r_m(g^k) = p^-1 * sum over a of S_a^m
-    e(-a g^k/p) = (H^m + sum over j of eta_j^m * conj(eta_(j+k mod M))) / p,
+    The lookup route counts cyclotomic numbers: h1 + ... + hm = lam holds
+    exactly when h1 (1 + t2 + ... + tm) = lam with t_i = h_i / h1 in H, and
+    h1 is then fixed by lam and the t_i, so r_m on coset k is the number of
+    (t2, ..., tm) in H^(m-1) with 1 + t2 + ... + tm in coset k, and r_m(0)
+    is H times the number whose sum is 0 (Berndt, Evans and Williams, Gauss
+    and Jacobi Sums, 1998).  Each sum is taken to its coset by
+    Subgroup.coset_of, with no rounding and no bound.
+
+    The transform route reads the periods.  On coset k of the subgroup,
+    r_m(g^k) = p^-1 * sum over a of S_a^m e(-a g^k/p)
+    = (H^m + sum over j of eta_j^m * conj(eta_(j+k mod M))) / p,
     as S_a = eta_j on the H residues of coset j, and r_m(0) = (H^m + H *
     sum over j of eta_j^m) / p.  That is H times the integer
     (H^(m-1) + sum over j of eta_j^m) / p = r_(m-1)(-1), as r_m(0) = sum over
@@ -153,31 +199,28 @@ def representation_counts(table: SumTable, m: int) -> CosetProfile:
     (4707931, 2353965), the largest found with p <= 10^7; near the int64
     limit it reads 0.393 at (3031903057, 2353962), where M = 1288, and
     H^6 <= 2^127 caps H at 2353973.  So no input
-    measured is refused.  Every count is asserted to be at least 0 and the
-    counts to add up to H^m.
+    measured is refused.  On either route every count is asserted to be at
+    least 0 and the counts to add up to H^m.
     """
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
     order = table.order
     if order ** (2 * m) > ENERGY_CAP:
         raise ResourceError(f"energy H^(2m) = {order}^{2 * m} exceeds the accumulator budget")
-    f = table.eta
-    for _ in range(m - 1):
-        f = f * table.eta
-    per_coset, at_zero = _profile(table, f, m)
+    prof = _counts(table, m)
     if m == 2:
         # h1 + h2 = 0 has H solutions when -1 lies in H (even H), else none
-        assert at_zero == (order if order % 2 == 0 else 0), "r_2(0) is not H or 0"
-    return CosetProfile(per_coset, at_zero, table.sub)
+        assert prof.at_zero == (order if order % 2 == 0 else 0), "r_2(0) is not H or 0"
+    return prof
 
 
 def difference_counts(table: SumTable) -> CosetProfile:
     """Ordered pairs (h1, h2) by their difference h1 - h2, once per coset:
-    representation_counts at m = 2 with |eta_j|^2 in place of eta_j^2."""
-    order = table.order
-    per_coset, at_zero = _profile(table, table.coset_magnitudes**2, 2)
-    assert at_zero == order, "h1 - h2 = 0 has H solutions"
-    return CosetProfile(per_coset, at_zero, table.sub)
+    representation_counts at m = 2 with 1 - t in place of 1 + t by lookups,
+    or |eta_j|^2 in place of eta_j^2 by the transform."""
+    prof = _counts(table, 2, sign=-1)
+    assert prof.at_zero == table.order, "h1 - h2 = 0 has H solutions"
+    return prof
 
 
 def energy_via_moments(table: SumTable, m: int) -> float:

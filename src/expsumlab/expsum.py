@@ -33,6 +33,11 @@ TABLE_BLOCK = 2**14
 # Bound, in units of u = 2^-53, on the error of one phase of phase_tables;
 # derived in energy.energy_via_moments.
 PHASE_ERROR = 29
+# Estimated nanoseconds per unit of work of the two routes to a length-M
+# correlation; the measurements are listed in SumTable.direct_is_cheaper.
+TRANSFORM_NS = 1.3  # one of the n*(log2 n + 1) terms of a padded FFT
+ADD_NS = 0.6  # one float add of a shifted sum
+LOOKUP_NS = 150.0  # one residue through Subgroup.coset_of and a bincount
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,9 @@ class SumTable:
     eta[j] lies within period_error of the exact period, and every
     coset_magnitudes[j] within it of |eta_j| (derived in
     energy.energy_via_moments from the blocks all_sums adds).  correlate is
-    the one length-M correlation of the program: the energies and stages 2
-    and 3 of the cascade read their lags from it.
+    the one transform route to a length-M correlation of the program: the
+    energies and stages 2 and 3 of the cascade read their lags from it
+    unless direct_is_cheaper picks their direct route.
     """
 
     p: int
@@ -84,6 +90,35 @@ class SumTable:
     def spectrum(self) -> np.ndarray:
         """The periods' FFT zero-padded to padded_length n, built on first use (16n bytes)."""
         return np.fft.fft(self.eta, self.padded_length)
+
+    def direct_is_cheaper(self, lookups: int = 0, adds: int = 0) -> bool:
+        """The one cost rule between the two routes to a length-M quantity:
+        whether `lookups` residues taken to their cosets and `adds` float adds
+        of shifted sums (a complex add counts two) cost no more than one
+        correlate, priced as three transforms (two forward, one inverse) of
+        n = padded_length, TRANSFORM_NS * n * (log2 n + 1) each.  The choice
+        reads only H, M, n and the set sizes it is given, so every run of an
+        input takes the same routes.  The constants were measured with numpy
+        2.4.6 (pocketfft) on a 2-vCPU x86-64 host, best of 3-7 runs:
+        - TRANSFORM_NS: a complex np.fft.fft of n points took 0.71-1.11 ns
+          per term n*(log2 n + 1) for n = 2^10 to 2^14, and 1.26-1.94 ns from
+          2^15 to 2^21;
+        - ADD_NS: `out += v[j : j + M]` took 0.30-0.81 ns per float for M from
+          10^3 to 10^6, and 0.28-0.68 ns per float of a complex add;
+        - LOOKUP_NS: Subgroup.coset_of and a bincount took 132-240 ns per
+          residue for H from 18 to 1400000, plus O(M) per block of sums.
+        Building the coset index's keys (O(M log M), once per subgroup) costs
+        less than one transform of n >= 2M - 1 points and is not counted.
+        Timed against each other, r_3 took 5.2 ms by lookups and 0.52 ms by
+        the transform at (p, H) = (200029, 158), where the rule picks the
+        transform, and 2.6 ms and 13 ms at (9999991, 99), where it picks the
+        lookups.  Fixed costs are not counted (33-55 us of array calls for a
+        correlation at n <= 256, 18-33 us for a pass of lookups): at
+        (1429, 17), n = 256, the rule picks the transform for r_3, which took
+        89 us there against 70 us for its 289 lookups."""
+        n = self.padded_length
+        direct = LOOKUP_NS * lookups + ADD_NS * adds
+        return direct <= 3 * TRANSFORM_NS * n * (math.log2(n) + 1)
 
     def correlate(self, f: np.ndarray, magnitudes: bool = False) -> np.ndarray:
         """sum over j of conj(f[j]) * v[(j + k) mod M] for every k < M, v the

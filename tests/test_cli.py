@@ -3,6 +3,7 @@ import concurrent.futures
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from expsumlab import InputError, Interval, cli, prooftrace, subgroup_of_order
+from expsumlab import InputError, Interval, SumTable, cli, prooftrace, subgroup_of_order
 from expsumlab.cli import (
     CSV_HEADER,
     EXIT_BAD_INPUT,
@@ -289,6 +290,13 @@ class TestScanCommand:
             assert r["error"] is None
             assert r["T2"] is not None and r["T2"] > 0
 
+    def test_interval_start_without_length_refused_for_library_callers(self):
+        # the CLI form is in REFUSED_BEFORE_THE_TABLE
+        with pytest.raises(InputError, match="--interval-start needs --interval-length or --interval-power"):
+            ScanConfig(p_min=101, p_max=101, interval_start=5)
+        rows, _ = run_scan(ScanConfig(p_min=101, p_max=101, interval_start=5, interval_length=10))
+        assert rows and all(r["N"] == 10 and r["L"] == 5 for r in rows)
+
     def test_interval_columns(self):
         rows, _ = run_scan(
             ScanConfig(p_min=100, p_max=120, interval_length=10, interval_start=0)
@@ -424,14 +432,17 @@ def test_commands_answer_below_the_label_bytes(capsys):
     assert peak < 2 * p
 
 
-# forward and inverse transforms a command makes: one of the periods per
-# table, then one forward (of the input) and one inverse per correlation,
-# and one more forward at stage 2, of the magnitudes
+# forward and inverse transforms a command makes.  SumTable.direct_is_cheaper
+# sends a count or a stage to the transform only where three transforms of the
+# padded length n cost less than its lookups or shifted adds; each table then
+# transforms its periods once, and each correlation its input forward and the
+# product back
 FFT_CALLS = [
-    (["trace", "--prime", "16111", "--order", "18"], 6, 4),  # differences, r_3, stages 2 and 3
-    (["trace", "--prime", "1429", "--order", "17"], 6, 4),  # odd H alike
+    (["trace", "--prime", "16111", "--order", "18"], 0, 0),  # every route direct
+    (["trace", "--prime", "36697", "--order", "22"], 0, 0),  # degenerate at stage 3, alike
+    (["trace", "--prime", "1429", "--order", "17"], 2, 1),  # r_3: 289 lookups, at n = 256
     (["scan", "--p-min", "201908", "--p-max", "201911", "--alpha-lo", "0.4",
-      "--m", "2,3", "--interval-power", "0.5"], 6, 4),  # two cases: r_2 and r_3 each
+      "--m", "2,3", "--interval-power", "0.5"], 4, 2),  # two cases: r_3 each, r_2 by lookups
     (["sum", "--prime", "16111", "--order", "18"], 0, 0),
 ]
 
@@ -608,6 +619,35 @@ class TestSubprocessInterface:
         assert "M = (p-1)/H = 10000001 exceeds the length limit" in r.stderr
 
 
+WORKFLOW = os.path.join(os.path.dirname(__file__), os.pardir, ".github", "workflows", "tier1.yml")
+
+
+def console_script_lines() -> list[list[str]]:
+    """The arguments of every expsumlab line of the workflow's "Console script" step."""
+    with open(WORKFLOW, encoding="utf-8") as fh:
+        step = fh.read().split("- name: Console script", 1)[1].split("- name:", 1)[0]
+    lines = (line.strip() for line in step.splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("expsumlab ")]
+
+
+def test_console_script_step_in_process(monkeypatch, capsys):
+    # every command CI runs answers here too, and the cost rule picks each route
+    picks = []
+    real = SumTable.direct_is_cheaper
+
+    def recorded(self, *args, **kwargs):
+        picks.append(real(self, *args, **kwargs))
+        return picks[-1]
+
+    monkeypatch.setattr(SumTable, "direct_is_cheaper", recorded)
+    lines = console_script_lines()
+    assert len(lines) >= 16
+    for argv in lines:
+        assert run_cli(*argv) == EXIT_OK, argv
+        assert "warning" not in capsys.readouterr().err, argv
+    assert set(picks) == {True, False}
+
+
 def run_python(code, **env):
     """Run code in a fresh interpreter, with OPENBLAS_NUM_THREADS unset unless
     given, and return its stdout split into words."""
@@ -650,3 +690,17 @@ class TestProcessEnvironment:
             "print([n for n in expsumlab.__all__ if n not in globals()])"
         )
         assert run_python(code) == ["[]"]
+
+
+def test_desk_scale_trace_loads_no_transform():
+    # a complete and a degenerate case of the trace benchmark's pools answer by
+    # lookups and shifted sums alone, so the process never imports numpy.fft
+    code = (
+        "import contextlib, io, sys\n"
+        "from expsumlab import cli\n"
+        "for p, h in ((16111, 18), (36697, 22)):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(['trace', '--prime', str(p), '--order', str(h)]) == 0\n"
+        "print('numpy.fft' in sys.modules)"
+    )
+    assert run_python(code) == ["False"]

@@ -155,17 +155,40 @@ class TestCorrelationRoute:
                     if h ** (2 * m) <= 10**6:
                         assert prof.energy == brute_force_T(sub, m), (p, h, m)
 
+    def test_lookup_and_transform_routes_agree_every_small_field(self):
+        # each route called directly, at every prime p < 300 and every H | p - 1:
+        # r_2, r_3 and the difference counts equal the cyclotomic oracles, whose
+        # coset labels are their own, and so each other, energies included
+        for p in (n for n in range(3, 300) if is_prime(n)):
+            for h in divisors(p - 1):
+                sub = subgroup_of_order(p, h)
+                table = all_sums(sub)
+                root, elems = sub.root, sub.elements
+                for m, sign, want in (
+                    (2, 1, cyclotomic_counts(p, root, elems)),
+                    (2, -1, cyclotomic_counts(p, root, elems, -1)),
+                    (3, 1, cyclotomic_r3(p, root, elems)),
+                ):
+                    energies = set()
+                    for route in (energy._lookup_counts, energy._transform_counts):
+                        per_coset, at_zero = route(table, m, sign)
+                        assert np.array_equal(np.append(per_coset, at_zero), want), (
+                            p, h, m, sign, route.__name__
+                        )
+                        energies.add(CosetProfile(per_coset, at_zero, sub).energy)
+                    assert len(energies) == 1, (p, h, m, sign)
+
     @pytest.mark.parametrize("p,h", [(1009, 21), (1009, 48), (4003, 23), (13, 12)])
     def test_refused_where_the_bound_is_not_below_one_half(self, monkeypatch, capsys, p, h):
-        # a bound at 1/2 certifies no rounding: the counts and the energy command
-        # refuse with the bound in the message, and no T_m is printed
+        # a bound at 1/2 certifies no rounding: the transform route, and the energy
+        # command, whose r_3 takes it at these orders, refuse with the bound in the
+        # message, and no T_m is printed
         table = all_sums(subgroup_of_order(p, h))
+        assert not table.direct_is_cheaper(lookups=h * h)
         monkeypatch.setattr(energy, "correlation_error_bound", lambda table, m: 0.5)
-        for m in (1, 2, 3):
+        for m, sign in ((1, 1), (2, 1), (3, 1), (2, -1)):
             with pytest.raises(ResourceError, match="within 0.5"):
-                representation_counts(table, m)
-        with pytest.raises(ResourceError, match="within 0.5"):
-            difference_counts(table)
+                energy._transform_counts(table, m, sign)
         assert main(["energy", "--prime", str(p), "--order", str(h), "--m", "3"]) == EXIT_BUDGET
         out, err = capsys.readouterr()
         assert "within 0.5" in err and "T_" not in out

@@ -21,7 +21,7 @@ from expsumlab import (
     single_sum,
     subgroup_of_order,
 )
-from expsumlab.expsum import phase_sums, phase_tables
+from expsumlab.expsum import SumTable, phase_sums, phase_tables
 from expsumlab.expsum import TABLE_BLOCK
 from oracles import indicator, naive_dft, parseval_defect, spread, subgroup_sum
 
@@ -355,6 +355,25 @@ class TestCorrelate:
             spectrum = table.spectrum
             table.correlate(f)
             assert table.spectrum is spectrum and spectrum.size == table.padded_length
+
+
+# (p, H, lookups, adds, whether the direct route is cheaper), each timed both ways
+COST_RULE_CASES = [
+    (200029, 158, 158**2, 0, False),  # r_3: 5.2 ms by lookups, 0.52 ms by transform
+    (9999991, 99, 99**2, 0, True),  # r_3: 2.6 ms against 13 ms
+    (9999991, 1111110, 1111110, 0, False),  # differences: 175 ms against 0.04 ms
+    (20000003, 22, 22**2, 0, True),  # r_3: 1.8 ms against 282 ms
+    (20000003, 22, 0, 81 * 909091, True),  # stage 2, |X| = 81: 49 ms against 326 ms
+    (20000003, 22, 0, 600 * 909091, False),  # stage 3 at |X| = |Y| = 300: 361 ms against 221 ms
+]
+
+
+@pytest.mark.parametrize("p,h,lookups,adds,direct", COST_RULE_CASES)
+def test_cost_rule_picks_the_faster_route(p, h, lookups, adds, direct):
+    # the rule reads only the number of cosets of the table and the work it is given
+    m = (p - 1) // h
+    table = SumTable(p, h, np.zeros(m), np.zeros(m, dtype=np.complex128), None, 0.0)
+    assert table.direct_is_cheaper(lookups=lookups, adds=adds) == direct
 
 
 def test_max_sum_allocates_nothing_of_length_p():

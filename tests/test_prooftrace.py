@@ -28,7 +28,7 @@ from expsumlab import (
     subgroup_of_order,
     trilinear_eval,
 )
-from expsumlab import expsum, prooftrace
+from expsumlab import energy, expsum, prooftrace
 from oracles import residue_level_trace, spread, subgroup_sum, tuple_level_trace
 from test_acceptance import TRACE_ORDERS
 
@@ -312,6 +312,39 @@ class TestTrilinearEval:
             tracemalloc.stop()
         assert 0 < value <= x.size * y.size * z.size
         assert peak < p
+
+
+class TestShiftedSums:
+    """The direct route of stages 2 and 3 against the table's transform, on
+    seeded sets of cosets X and Y.  The two differ by at most the transform's
+    error, 2 * FFT_ERROR * (log2 n + 1) * u * |f|_2 |v|_1 + u |f|_2 |v|_2 (derived
+    in energy.representation_counts), plus that of the shifted adds, at most
+    (|X| + |Y|) * u * |f|_1 * max |v| for rows adding terms of f times v."""
+
+    @staticmethod
+    def tolerance(table, f, v, rows):
+        u, n = 2.0**-53, table.padded_length
+        norm_f = float(np.linalg.norm(f))
+        fft = 2 * energy.FFT_ERROR * (math.log2(n) + 1) * u * norm_f * float(np.sum(np.abs(v)))
+        fft += u * norm_f * float(np.linalg.norm(v))
+        return fft + rows * u * float(np.sum(np.abs(f))) * float(np.max(np.abs(v)))
+
+    @pytest.mark.parametrize("p,h", [(1429, 17), (16111, 18), (35311, 15), (36697, 22)])
+    def test_lags_match_the_table_correlation(self, p, h):
+        table = all_sums(subgroup_of_order(p, h))
+        m = table.sub.cosets
+        rng = np.random.default_rng(p)
+        xc, yc = (np.sort(rng.choice(m, size, replace=False)) for size in (20, 13))
+        in_x = np.zeros(m)
+        in_x[xc] = 1.0
+        mags = table.coset_magnitudes
+        stage2 = prooftrace._shifted_sums(mags, xc)
+        want2 = table.correlate(in_x, magnitudes=True)
+        assert np.max(np.abs(stage2 - want2)) <= self.tolerance(table, in_x, mags, xc.size)
+        w = h * prooftrace._pair_sums(xc, yc, m)
+        stage3 = h * prooftrace._shifted_sums(prooftrace._shifted_sums(table.eta, yc), xc)
+        rows = xc.size + yc.size
+        assert np.max(np.abs(stage3 - table.correlate(w))) <= self.tolerance(table, w, table.eta, rows)
 
 
 class TestBuildTrace:
