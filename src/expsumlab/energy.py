@@ -255,15 +255,15 @@ def energy_via_moments(table: SumTable, m: int) -> float:
       bound for H terms.  So
       c_j^{2m} is within 2m*d*(c_j + d)^{2m-1} of |eta_j|^{2m}, and its own
       evaluation adds 2m*u*c_j^{2m};
-    - the sum of the M powers adds at most M*u times their sum, and
+    - the sum of the M powers, by np.sum in any order, adds at most M*u
+      times their sum, and
       (H^{2m} + H * sum) / p four roundings of u times the result.
     The bound is scaled by 1 + 1e-6, above the relative error of its own
     float evaluation (below (M + 2m + 4)u).
     """
     if m < 1:
         raise InputError(f"fold count must be >= 1, got {m}")
-    powers = table.coset_magnitudes ** (2 * m)
-    total = math.fsum(powers) if powers.size <= 10**6 else float(np.sum(powers))
+    total = float(np.sum(table.coset_magnitudes ** (2 * m)))
     return (float(table.order ** (2 * m)) + table.order * total) / table.p
 
 

@@ -64,13 +64,13 @@ class SumTable:
 
     eta[j] is the Gaussian period S_(g^j) of coset j of the subgroup sub and
     coset_magnitudes[j] = |eta_j| the common magnitude on that coset; S_a is
-    eta[sub.coset_of(a)] for a != 0, and S_0 is the subgroup order.  Every
-    eta[j] lies within period_error of the exact period, and every
+    eta[sub.coset_of(a)] for a != 0, and S_0 is the subgroup order.  eta is
+    float64 for even H, where every period is real, and complex128 for odd
+    H.  Every eta[j] lies within period_error of the exact period, and every
     coset_magnitudes[j] within it of |eta_j| (derived in
     energy.energy_via_moments from the blocks all_sums adds).  correlate is
-    the one transform route to a length-M correlation of the program: the
-    energies and stages 2 and 3 of the cascade read their lags from it
-    unless direct_is_cheaper picks their direct route.
+    the one transform of a length-M correlation in the program, and lags
+    picks between it and shifted sums for stages 2 and 3 of the cascade.
     """
 
     p: int
@@ -133,6 +133,38 @@ class SumTable:
         cyclic = corr[:m]
         cyclic[1:] += corr[n - m + 1 :]
         return cyclic
+
+    def lags(self, x: np.ndarray, y: np.ndarray | None = None, magnitudes: bool = False) -> np.ndarray:
+        """sum over j in x, and i in y when given, of v[(j + i + k) mod M] for
+        every k < M, v the periods or, with magnitudes, their magnitudes: by
+        shifted sums, one add of v per member of y and then of x, or by one
+        correlate of the exact counts of x or of the sums x + y mod M, as
+        direct_is_cheaper picks for those adds (a complex add counts two)."""
+        v = self.coset_magnitudes if magnitudes else self.eta
+        m, rows = v.size, x.size + (0 if y is None else y.size)
+        if self.direct_is_cheaper(adds=rows * m * (v.itemsize // 8)):
+            return _shifted_sums(v if y is None else _shifted_sums(v, y), x)
+        counts = np.bincount(x, minlength=m) if y is None else _pair_sums(x, y, m)
+        return self.correlate(counts, magnitudes)
+
+
+def _shifted_sums(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[k] = sum over j in rows of v[(j + k) mod M] for every k < M, by one
+    add of a slice of v doubled per row, in the order of rows."""
+    m = v.size
+    doubled = np.concatenate((v, v))
+    out = np.zeros_like(v)
+    for j in rows:
+        out += doubled[j : j + m]
+    return out
+
+
+def _pair_sums(xc: np.ndarray, yc: np.ndarray, m: int) -> np.ndarray:
+    """counts[c] = #{(i, j) in xc x yc : i + j = c mod m}, exact."""
+    counts = np.zeros(m, dtype=np.int64)
+    for _, _, x in residue_grid(np.add, xc, yc, m, 2**20):
+        counts += np.bincount(x.ravel(), minlength=m)
+    return counts
 
 
 def single_sum(a: int, sub: Subgroup) -> complex:
@@ -205,11 +237,8 @@ def all_sums(sub: Subgroup) -> SumTable:
     rows, cols = (order, m // 2) if odd else (order // 2, m)
     eta, height, adds = phase_sums(sub.elements[:rows], sub.reps[:cols], p, TABLE_BLOCK)
     error = order * 2.0**-53 * (PHASE_ERROR + 2 + 1.5 * (height - 1 + adds))
-    if odd:
-        eta = np.concatenate((eta, eta.conj()))
-    else:
-        eta = (2 * eta.real).astype(np.complex128)
-    # abs is exact on a conjugate and on a zero imaginary part, so |S_-a| = |S_a| exactly
+    eta = np.concatenate((eta, eta.conj())) if odd else 2 * eta.real
+    # abs is exact on a conjugate and on a real period, so |S_-a| = |S_a| exactly
     return SumTable(p, order, np.abs(eta), eta, sub, error)
 
 

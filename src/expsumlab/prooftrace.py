@@ -18,9 +18,7 @@ multiplicative cosets of the subgroup.  The inner magnitude of a triple
 sums over X are a cyclic correlation of the coset magnitudes with X; the
 X x Y product counts depend only on the coset of the product; and the stage-3
 spectrum is a correlation of those counts with the Gaussian periods.  Each
-correlation is read at a's coset, and taken by shifted sums (one add of the
-magnitudes or the periods per coset of X, and of Y) or by the table's
-transform (SumTable.correlate), as SumTable.direct_is_cheaper picks.  So
+correlation is read at a's coset off SumTable.lags, which picks its route.  So
 every stage runs on arrays of length M + 1 (M = (p-1)/H): entry 0 is the
 residue 0 and entry 1 + k is coset k of the subgroup, weighted by exact
 representation counts instead of over H^3 raw tuples.  X, Y and Z are unions
@@ -242,25 +240,6 @@ def check_energy_cardinality(
 def _slots(at_zero, per_coset: np.ndarray) -> np.ndarray:
     """The stage layout: entry 0 is the residue 0, entry 1 + k is coset k."""
     return np.concatenate(([at_zero], per_coset))
-
-
-def _shifted_sums(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """out[k] = sum over j in rows of v[(j + k) mod M] for every k < M, by one
-    add of a slice of v doubled per row, in the order of rows."""
-    m = v.size
-    doubled = np.concatenate((v, v))
-    out = np.zeros_like(v)
-    for j in rows:
-        out += doubled[j : j + m]
-    return out
-
-
-def _pair_sums(xc: np.ndarray, yc: np.ndarray, m: int) -> np.ndarray:
-    """counts[c] = #{(i, j) in xc x yc : i + j = c mod m}, exact."""
-    counts = np.zeros(m, dtype=np.int64)
-    for _, _, x in residue_grid(np.add, xc, yc, m, 2**20):
-        counts += np.bincount(x.ravel(), minlength=m)
-    return counts
 
 
 def _orbit_mins(w: np.ndarray, elements: np.ndarray, p: int, closed: str | None = None) -> np.ndarray:
@@ -502,13 +481,7 @@ def _cascade(table, a, shift, mag_a, diffs, r3) -> TraceResult:
 
     # Stage 2: triples (y1,y2,y3), value sum over x in X of |S_{a*x*mu}|;
     # on coset k it is H * sum over the X-cosets j of mags[j + k], lag shift + k.
-    m = sub.cosets
-    if table.direct_is_cheaper(adds=xc.size * m):
-        lags2 = _shifted_sums(table.coset_magnitudes, xc)
-    else:
-        in_x = np.zeros(m)
-        in_x[xc] = 1.0
-        lags2 = table.correlate(in_x, magnitudes=True).real
+    lags2 = table.lags(xc, magnitudes=True).real
     val2 = _slots(float(H * nx), H * np.roll(lags2, -shift))
     st2, yc = _stage(
         2, checks, H, val2, mults3, float(H), 0.5 * H * delta1_meas**3, nx,
@@ -522,16 +495,9 @@ def _cascade(table, a, shift, mag_a, diffs, r3) -> TraceResult:
     # Stage 3: pairs (z1,z2), value |sum over X x Y of e(a*x*y*(z1-z2))|,
     # which depends only on the coset k of d = z1-z2.  Coset pairs (i, j)
     # of X x Y put H products on each residue of coset i + j, so the value is
-    # |sum over c of w_c * eta_{c + shift + k}| with exact counts w_c, or
-    # H |sum over (i, j) of eta_{i + j + shift + k}| by two shifted sums, one
-    # add per period and row of Y, then of X (real periods at even H).  Each d
-    # weighs as many pairs as the difference counts give it (energy T_2).
-    eta = table.eta.real if H % 2 == 0 else table.eta
-    floats = eta.itemsize // 8  # per entry: 1 real, 2 complex
-    if table.direct_is_cheaper(adds=(xc.size + yc.size) * m * floats):
-        lags3 = H * _shifted_sums(_shifted_sums(eta, yc), xc)
-    else:
-        lags3 = table.correlate(H * _pair_sums(xc, yc, m))
+    # H |sum over (i, j) of eta_{i + j + shift + k}|.  Each d weighs as many
+    # pairs as the difference counts give it (energy T_2).
+    lags3 = H * table.lags(xc, yc)
     scale3 = float(nx) * float(ny)
     v = _slots(scale3, np.roll(np.abs(lags3), -shift))
     mults2 = _slots(diffs.at_zero, H * diffs.per_coset)

@@ -441,6 +441,7 @@ FFT_CALLS = [
     (["trace", "--prime", "16111", "--order", "18"], 0, 0),  # every route direct
     (["trace", "--prime", "36697", "--order", "22"], 0, 0),  # degenerate at stage 3, alike
     (["trace", "--prime", "1429", "--order", "17"], 2, 1),  # r_3: 289 lookups, at n = 256
+    (["trace", "--prime", "9999991", "--order", "90"], 4, 2),  # stages 2 and 3 by transform
     (["scan", "--p-min", "201908", "--p-max", "201911", "--alpha-lo", "0.4",
       "--m", "2,3", "--interval-power", "0.5"], 4, 2),  # two cases: r_3 each, r_2 by lookups
     (["sum", "--prime", "16111", "--order", "18"], 0, 0),

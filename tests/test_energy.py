@@ -327,7 +327,7 @@ class TestMomentErrorBound:
         assert 0.5 < abs(Fraction(moment) - t_2) <= bound < 1e-10 * t_2
 
     def test_bound_holds_above_a_million_cosets(self):
-        # M = 1000001 > 10^6 cosets: the powers are added by np.sum, not math.fsum
+        # M = 1000001 cosets: the bound covers np.sum's pairwise sum of a million powers
         sub = subgroup_of_order(2000003, 2)
         table = all_sums(sub)
         assert table.coset_magnitudes.size == 1000001

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -14,10 +15,12 @@ from expsumlab import (
     Interval,
     ResourceError,
     all_sums,
+    difference_counts,
     divisors,
     interval_subgroup_sum,
     j_count,
     max_sum,
+    representation_counts,
     single_sum,
     subgroup_of_order,
 )
@@ -355,6 +358,26 @@ class TestCorrelate:
             spectrum = table.spectrum
             table.correlate(f)
             assert table.spectrum is spectrum and spectrum.size == table.padded_length
+
+
+@pytest.mark.parametrize("p,h", [(101, 10), (16111, 18), (9999991, 90)])
+def test_real_periods_give_the_bits_of_complex_ones(p, h, monkeypatch):
+    """A complex128 copy of the real periods of an even H gives the same
+    spectrum, correlation and counts, bit for bit, on both count routes: the
+    transform casts a real input to complex with zero imaginary parts, and
+    the product of two real periods is the real part of their complex one."""
+    real = all_sums(subgroup_of_order(p, h))
+    assert real.eta.dtype == np.float64
+    copy = dataclasses.replace(real, eta=real.eta.astype(np.complex128))
+    assert real.spectrum.tobytes() == copy.spectrum.tobytes()
+    squares = (t.correlate(t.eta * t.eta) for t in (real, copy))
+    assert next(squares).tobytes() == next(squares).tobytes()
+    for lookups in (True, False):
+        monkeypatch.setattr(SumTable, "direct_is_cheaper", lambda self, *a, _l=lookups, **k: _l)
+        for m in (2, 3, None):
+            got = [difference_counts(t) if m is None else representation_counts(t, m) for t in (real, copy)]
+            assert got[0].per_coset.tobytes() == got[1].per_coset.tobytes()
+            assert got[0].at_zero == got[1].at_zero
 
 
 # (p, H, lookups, adds, whether the direct route is cheaper), each timed both ways

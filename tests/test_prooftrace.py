@@ -265,7 +265,9 @@ class TestTrilinearEval:
             (expsum, "all_sums", refuse),
             (SumTable, "correlate", refuse),
             (SumTable, "spectrum", property(refuse)),
-            (prooftrace, "_pair_sums", refuse),
+            (SumTable, "lags", refuse),
+            (expsum, "_pair_sums", refuse),
+            (expsum, "_shifted_sums", refuse),
             (Subgroup, "coset_of", refuse),
             (Subgroup, "members", refuse),
             (Subgroup, "reps", property(refuse)),
@@ -315,11 +317,12 @@ class TestTrilinearEval:
 
 
 class TestShiftedSums:
-    """The direct route of stages 2 and 3 against the table's transform, on
-    seeded sets of cosets X and Y.  The two differ by at most the transform's
-    error, 2 * FFT_ERROR * (log2 n + 1) * u * |f|_2 |v|_1 + u |f|_2 |v|_2 (derived
-    in energy.representation_counts), plus that of the shifted adds, at most
-    (|X| + |Y|) * u * |f|_1 * max |v| for rows adding terms of f times v."""
+    """The two routes of SumTable.lags, each forced by direct_is_cheaper, on
+    seeded sets of cosets X and Y: shifted sums against the table's
+    transform.  The two differ by at most the transform's error,
+    2 * FFT_ERROR * (log2 n + 1) * u * |f|_2 |v|_1 + u |f|_2 |v|_2 (derived in
+    energy.representation_counts) for the counts f of X or of X + Y, plus
+    that of the shifted adds, at most (|X| + |Y|) * u * |f|_1 * max |v|."""
 
     @staticmethod
     def tolerance(table, f, v, rows):
@@ -329,22 +332,35 @@ class TestShiftedSums:
         fft += u * norm_f * float(np.linalg.norm(v))
         return fft + rows * u * float(np.sum(np.abs(f))) * float(np.max(np.abs(v)))
 
-    @pytest.mark.parametrize("p,h", [(1429, 17), (16111, 18), (35311, 15), (36697, 22)])
-    def test_lags_match_the_table_correlation(self, p, h):
+    @pytest.mark.parametrize(
+        "p,h", [(1429, 17), (16111, 18), (35311, 15), (36697, 22), (9999991, 90)]
+    )
+    def test_lags_match_the_table_correlation(self, p, h, monkeypatch):
         table = all_sums(subgroup_of_order(p, h))
         m = table.sub.cosets
         rng = np.random.default_rng(p)
         xc, yc = (np.sort(rng.choice(m, size, replace=False)) for size in (20, 13))
-        in_x = np.zeros(m)
-        in_x[xc] = 1.0
-        mags = table.coset_magnitudes
-        stage2 = prooftrace._shifted_sums(mags, xc)
-        want2 = table.correlate(in_x, magnitudes=True)
-        assert np.max(np.abs(stage2 - want2)) <= self.tolerance(table, in_x, mags, xc.size)
-        w = h * prooftrace._pair_sums(xc, yc, m)
-        stage3 = h * prooftrace._shifted_sums(prooftrace._shifted_sums(table.eta, yc), xc)
+        asked = []
+        routes = {}
+        for direct in (True, False):
+
+            def forced(self, lookups=0, adds=0, _direct=direct):
+                asked.append(adds)
+                return _direct
+
+            monkeypatch.setattr(SumTable, "direct_is_cheaper", forced)
+            routes[direct] = table.lags(xc, magnitudes=True), table.lags(xc, yc)
+        # adds count floats: two per complex period (odd H), one per real one
+        floats = 1 if h % 2 == 0 else 2
+        assert asked == [xc.size * m, (xc.size + yc.size) * m * floats] * 2
+        (shifted2, shifted3), (spectral2, spectral3) = routes[True], routes[False]
+        assert shifted2.dtype == np.float64 and shifted3.dtype == table.eta.dtype
+        mags, in_x = table.coset_magnitudes, np.bincount(xc, minlength=m)
+        assert np.max(np.abs(shifted2 - spectral2)) <= self.tolerance(table, in_x, mags, xc.size)
+        w = expsum._pair_sums(xc, yc, m)
+        assert w.sum() == xc.size * yc.size
         rows = xc.size + yc.size
-        assert np.max(np.abs(stage3 - table.correlate(w))) <= self.tolerance(table, w, table.eta, rows)
+        assert np.max(np.abs(shifted3 - spectral3)) <= self.tolerance(table, w, table.eta, rows)
 
 
 class TestBuildTrace:
